@@ -28,13 +28,11 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .fields import ModeWindow
-from .liecore import ToroidalElement, mi_add, mi_sub, mi_zero, validate_lie_spec
+from .liecore import (Rational, ToroidalElement, frac, mi_add, mi_sub, mi_zero,
+                      validate_lie_spec)
 from .series import binom
 from .states import LRUCache, ShiftedModule, StateVector, ZERO_STATE, _accumulate, state_to_json
 from .vertexops import Session, loop_affine_graded_dims
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -126,14 +124,14 @@ class AxiomChecker:
                 for j in range(l + 1):
                     inner = sess.product(u, l - j + a0, aa, v)
                     if inner:
-                        _accumulate(lhs, self.vm(inner, j + b0, b, w), Fraction(binom(l, j)))
+                        _accumulate(lhs, self.vm(inner, j + b0, b, w), binom(l, j))
                 rhs = {}
                 baa = mi_sub(b, aa)
                 hi = self.module.max_degree(w) + v.max_degree() - 1 - b0
                 for i in range(hi + 1):
                     t = self.vm(v, b0 + i, baa, w)
                     if t:
-                        c = Fraction(binom(a0, i) * (-1 if i % 2 else 1))
+                        c = binom(a0, i) * (-1 if i % 2 else 1)
                         _accumulate(rhs, self.vm(u, l + a0 - i, aa, t), c)
                 if lhs != rhs:
                     return {"tuple": [a0, list(aa), b0, list(b)],
@@ -161,7 +159,7 @@ class AxiomChecker:
         for i in range(hi1 + 1):
             t = self.vm(v, q0 + i, QP, w)
             if t:
-                c = Fraction(binom(n, i) * (-1 if i % 2 else 1))
+                c = binom(n, i) * (-1 if i % 2 else 1)
                 _accumulate(lhs, self.vm(u, p0 + n - i, P, t), c)
         sign_n = -1 if n % 2 else 1
         hi2 = self.module.max_degree(w) + u.max_degree() - 1 - p0
@@ -170,7 +168,7 @@ class AxiomChecker:
         for i in range(hi2 + 1):
             t = self.vm(u, p0 + i, P, w)
             if t:
-                c = Fraction(-sign_n * binom(n, i) * (-1 if i % 2 else 1))
+                c = -sign_n * binom(n, i) * (-1 if i % 2 else 1)
                 _accumulate(lhs, self.vm(v, q0 + n - i, QP, t), c)
         rhs = {}
         hj = v.max_degree() + u.max_degree() - 1 - n
@@ -179,7 +177,7 @@ class AxiomChecker:
         for j in range(hj + 1):
             inner = sess.product(u, n + j, P, v)
             if inner:
-                _accumulate(rhs, self.vm(inner, p0 + q0 - j, Q, w), Fraction(binom(p0, j)))
+                _accumulate(rhs, self.vm(inner, p0 + q0 - j, Q, w), binom(p0, j))
         return StateVector(lhs) - StateVector(rhs)
 
     # -- skew symmetry -------------------------------------------------------------------
@@ -190,7 +188,7 @@ class AxiomChecker:
         the index sum (-1)^(a0+1) sum_s C(b0, s) F(a0+s, B-A, b0-s, B)."""
         acc = {}
         BA = mi_sub(B, A)
-        sign = Fraction(-1 if a0 % 2 == 0 else 1)  # (-1)^(a0+1)
+        sign = -1 if a0 % 2 == 0 else 1  # (-1)^(a0+1)
         for s in range(bound + 1):
             c = binom(b0, s)
             if c:
@@ -264,7 +262,7 @@ class AxiomChecker:
                     for si, w in enumerate(window.states):
                         got = self.vm(st, n0, n, w)
                         if n == m:
-                            c = Fraction(binom(n0, k) * (-1 if k % 2 else 1))
+                            c = binom(n0, k) * (-1 if k % 2 else 1)
                             want = self.vm(u, n0 - k, m, w).scaled(c)
                         else:
                             want = ZERO_STATE
@@ -296,7 +294,7 @@ class AxiomChecker:
         for i in range(hi1 + 1):
             t = O(v, q + i, w)
             if t:
-                c = Fraction(binom(n, i) * (-1 if i % 2 else 1))
+                c = binom(n, i) * (-1 if i % 2 else 1)
                 _accumulate(lhs, O(u, p + n - i, t), c)
         sign_n = -1 if n % 2 else 1
         hi2 = self.module.max_degree(w) + u.max_degree() - 1 - p
@@ -305,7 +303,7 @@ class AxiomChecker:
         for i in range(hi2 + 1):
             t = O(u, p + i, w)
             if t:
-                c = Fraction(-sign_n * binom(n, i) * (-1 if i % 2 else 1))
+                c = -sign_n * binom(n, i) * (-1 if i % 2 else 1)
                 _accumulate(lhs, O(v, q + n - i, t), c)
         rhs = {}
         hj = v.max_degree() + u.max_degree() - 1 - n
@@ -314,7 +312,7 @@ class AxiomChecker:
         for j in range(hj + 1):
             inner = self.session.ordinary_mode(u, n + j, v)  # stays tail-free
             if inner:
-                _accumulate(rhs, O(inner, p + q - j, w), Fraction(binom(p, j)))
+                _accumulate(rhs, O(inner, p + q - j, w), binom(p, j))
         return StateVector(lhs) - StateVector(rhs)
 
     def ordinary_creation_witness(self, u, window: ModeWindow):
@@ -367,7 +365,7 @@ class AxiomChecker:
                     inner = self.session.product(u, j, p, v)
                     if inner:
                         _accumulate(acc, self.vm(inner, p0 + q0 - j, mi_add(p, q), w),
-                                    Fraction(binom(p0, j)))
+                                    binom(p0, j))
                 if lhs != StateVector(acc):
                     return {"tuple": [p0, list(p), q0, list(q)], "state": si}
         return None
@@ -464,7 +462,7 @@ def sample_state(session: Session, rng: random.Random, window: ModeWindow,
             tail = session.spec.basis[rng.randrange(session.spec.dim)]
         st = session.monomial(word, tail)
         if st:
-            coeff = Fraction(rng.choice([1, 1, 2, -1, Fraction(1, 2)]))
+            coeff = frac(rng.choice([1, 1, 2, -1, Fraction(1, 2)]))
             return st.scaled(coeff)
     return session.vacuum()
 
@@ -704,10 +702,10 @@ def _derivative_findings(session: Session, window: ModeWindow) -> list:
                         lhs = fs.product(da, m0, m, hb, window=window)
                         if i == 0:
                             ref = fs.product(ha, m0 - 1, m, hb, window=window)
-                            scale = Fraction(-m0)
+                            scale = -m0
                         else:
                             ref = fs.product(ha, m0, m, hb, window=window)
-                            scale = Fraction(-m[i - 1])
+                            scale = -m[i - 1]
                         for (k0, k) in window.modes():
                             for w in window.states:
                                 if fs.mode(lhs, k0, k, w) != fs.mode(ref, k0, k, w).scaled(scale):
@@ -762,7 +760,7 @@ def _bracket_current(session: Session, ai: int, bi: int):
     return FieldHandle(key, 0, ev, label)
 
 
-def _scaled_identity(fs, coeff: Fraction):
+def _scaled_identity(fs, coeff: Rational):
     from .fields import FieldHandle
     one = fs.identity()
 
@@ -817,7 +815,7 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, depth: int, rng
                                         rhs = session.ordinary_mode(
                                             session.product(br, -1, mi_add(m, n), vac), p0 + q0, w)
                                     if mi_add(m, n) == mi_zero(session.r) and p0 + q0 == 0:
-                                        c = Fraction(p0) * session.spec.pairing_basis(a, b) * session.level
+                                        c = p0 * session.spec.pairing_basis(a, b) * session.level
                                         rhs = rhs + w.scaled(c)
                                     if lhs != rhs:
                                         return "fail", {"pair": [labels[a], labels[b]],
@@ -903,9 +901,14 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, depth: int, rng
     return out
 
 
+# Check groups in report order.
+CHECK_GROUPS = ("lie", "module", "table", "locality", "oracle", "derivative",
+                "transfer", "axioms", "skew", "vacuum", "ideal", "module-variant")
+
+
 def run_suite(session: Session, window: ModeWindow, seed: int = 0,
               checks: Optional[Sequence[str]] = None, caps: int = 8,
-              samples: int = 20, depth: int = 2, jobs: int = 1,
+              samples: int = 20, depth: int = 2,
               expect_session: Optional[Session] = None) -> SuiteReport:
     """Execute the configured checks over one window and aggregate findings.
 
@@ -913,15 +916,14 @@ def run_suite(session: Session, window: ModeWindow, seed: int = 0,
     supplies pristine closed-form expectations when the acting session is a
     deliberate mutation.
     """
-    groups = {"lie", "module", "table", "locality", "oracle", "derivative",
-              "transfer", "axioms", "skew", "vacuum", "ideal", "module-variant"}
-    selected = groups if checks is None else set(checks)
-    unknown = selected - groups
+    selected = set(CHECK_GROUPS if checks is None else checks)
+    unknown = selected - set(CHECK_GROUPS)
     if unknown:
         raise ValueError(f"unknown check groups: {sorted(unknown)}")
 
     def group_rng(name: str) -> random.Random:
-        # one stream per group so thread scheduling cannot change report content
+        # one stream per group, so a group's findings do not depend on which
+        # other groups run or in what order
         return random.Random(f"{seed}:{name}")
 
     tasks = []
@@ -1003,14 +1005,8 @@ def run_suite(session: Session, window: ModeWindow, seed: int = 0,
         tasks.append(variant_tasks)
 
     findings = []
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(lambda fn: fn(), tasks):
-                findings.extend(chunk)
-    else:
-        for fn in tasks:
-            findings.extend(fn())
+    for fn in tasks:
+        findings.extend(fn())
     return SuiteReport(findings)
 
 

@@ -17,7 +17,8 @@ import json
 import os
 import sys
 
-from .axioms import Finding, SuiteReport, run_mutation_suite, run_suite, _vacuum_ideal_findings
+from .axioms import (CHECK_GROUPS, Finding, SuiteReport, run_mutation_suite, run_suite,
+                     _vacuum_ideal_findings)
 from .config import SessionConfig
 from .fields import LocalityError, TerminationError
 from .liecore import LieAlgebraSpec, SpecFormatError, validate_lie_spec
@@ -28,10 +29,24 @@ EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
+# Bump when the findings a check group produces for the same inputs change,
+# so that `--cache` files written by older code are not replayed.
+CACHE_SCHEMA = 2
+
 
 def _digest(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def _group_cache_key(cfg: SessionConfig, spec: LieAlgebraSpec, window_index: int,
+                     group: str) -> str:
+    """Key of one group's cached findings.  Besides the config digest payload,
+    which names the algebra by path only, it covers the algebra's content,
+    the top-level window defaults and the cache schema."""
+    return _digest({**cfg.digest_payload(), "algebra_sha256": _digest(spec.to_json()),
+                    "depth": cfg.depth, "locality_bound": cfg.locality_bound,
+                    "schema": CACHE_SCHEMA, "window_index": window_index, "group": group})
 
 
 def _load_cache(path):
@@ -53,7 +68,7 @@ def _findings_from_json(items):
 
 
 def _estimate_cost(cfg: SessionConfig, windows) -> int:
-    groups = len(cfg.checks) if cfg.checks else 12
+    groups = len(cfg.checks or CHECK_GROUPS)
     return sum(w.size * w.size * len(w.states) * groups for w in windows)
 
 
@@ -142,16 +157,15 @@ def cmd_axioms(cfg: SessionConfig, args) -> int:
         return EXIT_PASS if report.ok else EXIT_MATH_FAIL
     cache = _load_cache(args.cache)
     findings = []
-    groups = cfg.checks or ["lie", "module", "table", "locality", "oracle", "derivative",
-                            "transfer", "axioms", "skew", "vacuum", "ideal", "module-variant"]
+    groups = cfg.checks or CHECK_GROUPS
     for wi, win in enumerate(windows):
         for group in groups:
-            key = _digest({**cfg.digest_payload(), "window_index": wi, "group": group})
+            key = _group_cache_key(cfg, session.spec, wi, group)
             if key in cache:
                 findings.extend(_findings_from_json(cache[key]))
                 continue
             part = run_suite(session, win, seed=cfg.seed, checks=[group],
-                             samples=cfg.samples, depth=win.depth, jobs=cfg.jobs)
+                             samples=cfg.samples, depth=win.depth)
             cache[key] = [f.to_json() for f in part.findings]
             findings.extend(part.findings)
     _save_cache(args.cache, cache)
@@ -216,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="torva", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", required=True, help="session config JSON")
-    p.add_argument("--jobs", type=int, default=None, help="worker threads for suite checks")
     p.add_argument("--cache", default=None, help="persistent finding cache file")
     p.add_argument("--budget", type=int, default=None, help="window cost budget override")
     p.add_argument("--mutate", action="store_true",
@@ -264,8 +277,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         cfg = SessionConfig.from_file(args.config)
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
         return _COMMANDS[args.command](cfg, args)
     except (SpecFormatError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,14 +22,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .liecore import SpecFormatError, mi_sub, mi_zero
 from .series import binom, expand_minus_y_plus_x, expand_x_minus_y, series_multiply
 from .states import LRUCache, StateVector, ZERO_STATE, _accumulate
-
-_ZERO = Fraction(0)
 
 
 class LocalityError(RuntimeError):
@@ -46,11 +43,14 @@ class ModeWindow:
 
     def __init__(self, m0_range, m_box, states: Sequence[StateVector],
                  locality_bound: int = 8, depth: int = 1):
-        self.m0_lo, self.m0_hi = int(m0_range[0]), int(m0_range[1])
-        self.m_box = tuple((int(lo), int(hi)) for lo, hi in m_box)
+        try:
+            self.m0_lo, self.m0_hi = int(m0_range[0]), int(m0_range[1])
+            self.m_box = tuple((int(lo), int(hi)) for lo, hi in m_box)
+            self.locality_bound = int(locality_bound)
+            self.depth = int(depth)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise SpecFormatError(f"malformed mode window: {exc}") from exc
         self.states = tuple(states)
-        self.locality_bound = int(locality_bound)
-        self.depth = int(depth)
         if self.m0_lo > self.m0_hi or any(lo > hi for lo, hi in self.m_box):
             raise SpecFormatError("empty mode window")
         if not self.states:

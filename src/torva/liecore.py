@@ -8,8 +8,11 @@ a one-dimensional centre, and r+1 derivations acting by ``-d/dt0`` and
 
     [a(m0,m), b(n0,n)] = [a,b](m0+n0, m+n) + m0 <a,b> delta(m0+n0) delta(m+n) c
 
-with c central.  Every coefficient is a `fractions.Fraction`; nothing in the
-engine touches floating point, so all downstream checks are exact equalities.
+with c central.  Every coefficient is an exact rational, integer-first: an
+``int`` when the value is integral (almost every coefficient the checks meet)
+and a `fractions.Fraction` otherwise; the two compare and hash alike.  Nothing
+in the engine touches floating point, so all downstream checks are exact
+equalities.
 
 All objects here are immutable after construction and safe to share across
 threads.
@@ -23,11 +26,17 @@ from fractions import Fraction
 from typing import Optional, Union
 
 Scalar = Union[int, str, Fraction]
+Rational = Union[int, Fraction]
 
 
-def frac(x: Scalar) -> Fraction:
-    """Coerce an int / 'p/q' string / Fraction to Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+def frac(x: Scalar) -> Rational:
+    """Coerce an int / 'p/q' string / Fraction to an exact rational: an int
+    when the value is integral, a Fraction otherwise."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +123,7 @@ class LieAlgebraSpec:
         """[b_i, b_j] as a sparse vector {k: coeff}."""
         return self.brackets.get((i, j), {})
 
-    def pairing_basis(self, i: int, j: int) -> Fraction:
+    def pairing_basis(self, i: int, j: int) -> Rational:
         return self.form[i][j]
 
     def bracket(self, u: dict, v: dict) -> dict:
@@ -133,7 +142,7 @@ class LieAlgebraSpec:
                         del out[k]
         return out
 
-    def pairing(self, u: dict, v: dict) -> Fraction:
+    def pairing(self, u: dict, v: dict) -> Rational:
         total = _ZERO
         for i, a in u.items():
             for j, b in v.items():
@@ -215,7 +224,7 @@ class LieAlgebraSpec:
         }
 
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 @dataclass(frozen=True)
@@ -326,7 +335,7 @@ class ToroidalElement:
     def derivation(cls, r, i, coeff: Scalar = 1):
         if not 0 <= i <= r:
             raise SpecFormatError(f"derivation index {i} out of range 0..{r}")
-        der = [Fraction(0)] * (r + 1)
+        der = [_ZERO] * (r + 1)
         der[i] = frac(coeff)
         return cls(r, der=der)
 

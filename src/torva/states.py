@@ -18,16 +18,14 @@ closure generation revisits the same states heavily.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from fractions import Fraction
 from typing import Optional
 
 from .liecore import (LieAlgebraSpec, Scalar, SpecFormatError, ToroidalAlgebra,
                       ToroidalElement, frac, mi_add)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 def _mode_key(mode):
@@ -158,7 +156,7 @@ VACUUM_MONO = PBWMonomial((), None)
 
 
 def _accumulate(acc: dict, state: StateVector, coeff):
-    # coeff may be a Fraction or a plain int (exact either way)
+    # coeff is an int or a Fraction (exact either way)
     if not coeff:
         return
     for m, c in state.terms.items():
@@ -173,38 +171,38 @@ _MISS = object()
 
 
 class LRUCache:
-    """Bounded memo table: concurrent use is serialised by a single lock,
-    eviction is least-recently-used.  max_entries <= 0 disables caching."""
+    """Bounded memo table with least-recently-used eviction; max_entries <= 0
+    disables caching.
 
-    __slots__ = ("_data", "_cap", "_lock", "hits", "misses")
+    There is no lock: a table belongs to one session and is used by one
+    thread at a time.  ``hits`` and ``misses`` count lookups."""
+
+    __slots__ = ("_data", "_cap", "hits", "misses")
 
     def __init__(self, max_entries: int = 200_000):
         self._data = OrderedDict()
         self._cap = max_entries
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get(self, key):
         if self._cap <= 0:
             return None
-        with self._lock:
-            val = self._data.get(key, _MISS)
-            if val is _MISS:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return val
+        val = self._data.get(key, _MISS)
+        if val is _MISS:
+            self.misses += 1
+            return None
+        self._data.move_to_end(key)
+        self.hits += 1
+        return val
 
     def put(self, key, value):
         if self._cap <= 0:
             return
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self._cap:
-                self._data.popitem(last=False)
+        self._data[key] = value
+        self._data.move_to_end(key)
+        while len(self._data) > self._cap:
+            self._data.popitem(last=False)
 
     def __len__(self):
         return len(self._data)

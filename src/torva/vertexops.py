@@ -29,8 +29,8 @@ from .states import (LRUCache, PBWMonomial, StateVector, VACUUM_MONO,
                      VacuumModule, ZERO_STATE, _accumulate, state_from_json,
                      state_to_json)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 class Session:
@@ -310,7 +310,7 @@ def echelonize(states: Sequence[StateVector]):
                     elif mo in row:
                         del row[mo]
             else:
-                inv = _ONE / row[lead]
+                inv = Fraction(1) / row[lead]  # Fraction division, never int / int
                 row = {mo: v * inv for mo, v in row.items()}
                 for other in pivots.values():
                     if lead in other:

@@ -61,6 +61,39 @@ def test_malformed_json_exit_2(tmp_path):
     assert "line" in out.stderr
 
 
+@pytest.mark.parametrize("edit", [
+    {"seed": "abc"}, {"seed": 2.5}, {"samples": "x"}, {"budget": [1]}, {"depth": "two"},
+    {"locality_bound": None}, {"cache": {"max_entries": "many"}}, {"cache": "big"},
+    {"checks": "lie"}, {"checks": ["lie", "bogus"]}])
+def test_bad_config_field_exit_2(cfg, tmp_path, edit):
+    payload = {**json.loads(open(cfg).read()), **edit}
+    bad = tmp_path / "bad_cfg.json"
+    bad.write_text(json.dumps(payload))
+    out = run_cli(["--config", str(bad), "validate"])
+    assert out.returncode == 2, out.stderr
+    assert "must be" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_config_not_an_object_exit_2(tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    out = run_cli(["--config", str(p), "validate"])
+    assert out.returncode == 2, out.stderr
+    assert "JSON object" in out.stderr
+
+
+@pytest.mark.parametrize("window", [{"m0": "x"}, {"m0": [-1, 1], "depth": "d"}, 1])
+def test_malformed_window_exit_2(cfg, tmp_path, window):
+    payload = json.loads(open(cfg).read())
+    payload["windows"] = [window]
+    bad = tmp_path / "bad_cfg.json"
+    bad.write_text(json.dumps(payload))
+    out = run_cli(["--config", str(bad), "field", "e"])
+    assert out.returncode == 2, out.stderr
+    assert "malformed mode window" in out.stderr
+
+
 def test_product_command(cfg):
     out = run_cli(["--config", cfg, "product", "e", "1", "0", "f"])
     assert out.returncode == 0
@@ -104,6 +137,21 @@ def test_axioms_deterministic_and_cached(cfg, tmp_path):
         return [{k: v for k, v in f.items() if k != "wall_ms"} for f in data["findings"]]
 
     assert strip(tmp_path / "r1.json") == strip(tmp_path / "r2.json") == strip(tmp_path / "r3.json")
+
+
+def test_cache_not_replayed_after_algebra_edit(cfg, tmp_path):
+    payload = json.loads(open(cfg).read())
+    payload["checks"] = ["lie", "table"]
+    path = tmp_path / "cfg_lie.json"
+    path.write_text(json.dumps(payload))
+    args = ["--config", str(path), "--cache", str(tmp_path / "cache.json"), "axioms"]
+    assert run_cli(args).returncode == 0
+    algebra = json.load(open(tmp_path / "sl2.json"))
+    algebra["form"][0][1] = "7"
+    (tmp_path / "sl2.json").write_text(json.dumps(algebra))
+    out = run_cli(args)
+    assert out.returncode == 1, out.stdout
+    assert "overall: FAIL" in out.stdout
 
 
 def test_budget_refusal(cfg):

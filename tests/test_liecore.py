@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from torva import (LieAlgebraSpec, SpecFormatError, ToroidalAlgebra,
                    ToroidalElement, bracket_g, validate_lie_spec)
+from torva.liecore import frac
 
 from conftest import abelian_spec, sl2_spec
 
@@ -17,6 +18,19 @@ def test_sl2_validates():
 
 def test_abelian_validates():
     assert validate_lie_spec(abelian_spec()).ok
+
+
+def test_frac_is_integer_first():
+    for x in (3, "4/2", Fraction(4, 2), "-6", Fraction(0)):
+        assert type(frac(x)) is int
+    assert frac("4/2") == 2 and frac(Fraction(-6, 3)) == -2
+    half = frac("1/2")
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert frac(Fraction(3, 6)) == Fraction(1, 2)
+    # sl2's structure constants and form are integral, so they are ints
+    spec = sl2_spec()
+    assert all(type(c) is int for row in spec.brackets.values() for c in row.values())
+    assert all(type(x) is int for row in spec.form for x in row)
 
 
 def test_invariance_violation_witnessed():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from torva import Session, state_from_json, state_to_json
 from torva.axioms import mod_act_elem, sample_toroidal
-from torva.states import LRUCache
+from torva.states import LRUCache, StateVector
 
 from conftest import sl2_spec
 
@@ -156,6 +156,29 @@ def test_lru_eviction():
     cache.put("c", 3)           # evicts b
     assert cache.get("b") is None
     assert cache.get("a") == 1 and cache.get("c") == 3
+
+
+def test_lru_counters():
+    cache = LRUCache(2)
+    assert cache.get("a") is None
+    cache.put("a", 1)
+    cache.put("b", 2)
+    assert cache.get("a") == 1 and cache.get("b") == 2
+    cache.put("c", 3)           # evicts a, the least recently used
+    assert cache.get("a") is None
+    assert (cache.hits, cache.misses, len(cache)) == (2, 2, 2)
+    off = LRUCache(0)
+    off.put("a", 1)
+    assert off.get("a") is None and len(off) == 0
+
+
+def test_state_json_same_for_int_and_fraction_coefficients(s):
+    w = s.parse_state("e(-2;1) f(-1;0) vac") + s.tail("h").scaled(-3)
+    as_fraction = StateVector({m: Fraction(c) for m, c in w.terms.items()})
+    assert all(type(c) is int for c in w.terms.values())
+    assert as_fraction == w and hash(as_fraction) == hash(w)
+    assert state_to_json(s.spec, as_fraction) == state_to_json(s.spec, w)
+    assert [t["coeff"] for t in state_to_json(s.spec, w)] == ["-3", "1"]
 
 
 @settings(max_examples=40, deadline=None)

@@ -222,6 +222,21 @@ def test_echelonize_basics(s):
         assert r.terms[lead] == 1
 
 
+def test_echelonize_integer_rows_exact(s):
+    a = s.parse_state("e(-1;0) vac")
+    b = s.parse_state("f(-1;0) vac")
+    c = s.parse_state("e(-1;1) f(-1;0) vac")
+    rows = echelonize([a.scaled(3), (b + c).scaled(-2), a.scaled(6) + c.scaled(4)])
+    assert len(rows) == 3
+    for r in rows:
+        lead = min(r.terms, key=lambda mo: mo.sort_key())
+        assert r.terms[lead] == 1
+        assert all(isinstance(v, (int, Fraction)) for v in r.terms.values())
+    # a pivot of 3 divides exactly: (3a + 2b) / 3 keeps the coefficient 2/3
+    (row,) = echelonize([a.scaled(3) + b.scaled(2)])
+    assert sorted(row.terms.values()) == [Fraction(2, 3), 1]
+
+
 def test_reconstruction_from_vacuum_products(s, win):
     rng = random.Random(8)
     samples = [s.tail("h"), s.parse_state("e(-2;1) vac"),
