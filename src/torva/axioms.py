@@ -770,9 +770,13 @@ def _scaled_identity(fs, coeff: Rational):
     return FieldHandle(("scaled-one", str(coeff)), 1, ev, f"{coeff}*1")
 
 
-def _vacuum_ideal_findings(session: Session, window: ModeWindow, depth: int, rng) -> list:
+def _vacuum_ideal_findings(session: Session, window: ModeWindow, depth: int, rng,
+                           ideal_holder: Optional[dict] = None) -> list:
+    """Findings on the vacuum ideal.  The ideal built by the first check is
+    stored under ``"ideal"`` in ``ideal_holder``, which a caller may pass in
+    to reuse it."""
     out = []
-    ideal_holder = {}
+    ideal_holder = {} if ideal_holder is None else ideal_holder
 
     def run_dims():
         ideal = session.build_vacuum_ideal(depth, window)

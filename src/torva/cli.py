@@ -2,8 +2,8 @@
 
 Commands: validate | act | product | field | locality | axioms | v0 | report.
 Exit codes: 0 pass, 1 mathematical failure, 2 usage/config error, 3 resource
-refusal (window budget exceeded, or an exponent search hit its cap so no
-verdict was reached).
+refusal (window budget exceeded, an exponent search hit its cap so no verdict
+was reached, or the run exhausted the recursion limit or memory).
 
 All input and output is JSON with rationals as "p/q" strings; reports are
 byte-deterministic for a fixed config apart from the timing fields.
@@ -183,9 +183,10 @@ def cmd_v0(cfg: SessionConfig, args) -> int:
     import random
     session = cfg.build_session()
     win = cfg.build_windows(session)[0]
-    findings = _vacuum_ideal_findings(session, win, win.depth, random.Random(cfg.seed))
+    holder = {}
+    findings = _vacuum_ideal_findings(session, win, win.depth, random.Random(cfg.seed), holder)
     report = SuiteReport(findings, config_digest=_digest(cfg.digest_payload()))
-    ideal = session.build_vacuum_ideal(win.depth, win)
+    ideal = holder.get("ideal") or session.build_vacuum_ideal(win.depth, win)
     payload = report.to_json()
     payload["graded_dims"] = {str(k): v for k, v in sorted(ideal.graded_dims.items())}
     payload["basis_size"] = len(ideal.basis)
@@ -284,6 +285,9 @@ def main(argv=None) -> int:
     except (LocalityError, TerminationError) as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return EXIT_MATH_FAIL
+    except (RecursionError, MemoryError) as exc:
+        print(f"refused: out of resources ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

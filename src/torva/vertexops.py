@@ -291,41 +291,49 @@ def _mono_order(mono: PBWMonomial):
 
 
 def echelonize(states: Sequence[StateVector]):
-    """Reduced echelon form over Q of a list of states; returns the list of
-    pivot rows as StateVectors (pivot coefficient 1, pivots cleared from all
-    other rows), in pivot order."""
-    pivots = {}  # leading monomial -> row dict
+    """Reduced row echelon form over Q of a list of states, for the monomial
+    order ``PBWMonomial.sort_key``: the pivot rows as StateVectors (pivot
+    coefficient 1, every pivot lead cleared from all other rows), in pivot
+    order.
+
+    Forward elimination reduces each incoming row only at its leading
+    monomial, so a stored row may still hold the leads of other rows; one
+    back-substitution pass, largest lead first, then clears them.  The work
+    follows the fill of the rows, not the square of their number."""
+    pivots = {}  # leading monomial -> row dict, reduced at its lead only
     for st in states:
         row = dict(st.terms)
         while row:
             lead = min(row, key=_mono_order)
-            if lead in pivots:
-                c = row.pop(lead)
-                for mo, v in pivots[lead].items():
-                    if mo == lead:
-                        continue
-                    s = row.get(mo, _ZERO) - c * v
-                    if s:
-                        row[mo] = s
-                    elif mo in row:
-                        del row[mo]
-            else:
+            pivot = pivots.get(lead)
+            if pivot is None:
                 inv = Fraction(1) / row[lead]  # Fraction division, never int / int
-                row = {mo: v * inv for mo, v in row.items()}
-                for other in pivots.values():
-                    if lead in other:
-                        c = other.pop(lead)
-                        for mo, v in row.items():
-                            if mo == lead:
-                                continue
-                            s = other.get(mo, _ZERO) - c * v
-                            if s:
-                                other[mo] = s
-                            elif mo in other:
-                                del other[mo]
-                pivots[lead] = row
+                pivots[lead] = {mo: v * inv for mo, v in row.items()}
                 break
-    return [StateVector(pivots[lead]) for lead in sorted(pivots, key=_mono_order)]
+            _subtract(row, row.pop(lead), pivot, lead)
+    leads = sorted(pivots, key=_mono_order)
+    reduced = {}  # leading monomial -> fully reduced row
+    for lead in reversed(leads):
+        row = pivots[lead]
+        # rows in ``reduced`` hold no pivot lead but their own, so subtracting
+        # one never changes the coefficient of another lead in ``row``
+        for mo in [mo for mo in row if mo in reduced]:
+            _subtract(row, row.pop(mo), reduced[mo], mo)
+        reduced[lead] = row
+    return [StateVector(reduced[lead]) for lead in leads]
+
+
+def _subtract(row: dict, c, other: dict, skip) -> None:
+    """``row -= c * other`` in place, leaving out ``other``'s ``skip`` entry
+    (already removed from ``row`` by the caller) and dropping zeros."""
+    for mo, v in other.items():
+        if mo == skip:
+            continue
+        s = row.get(mo, _ZERO) - c * v
+        if s:
+            row[mo] = s
+        elif mo in row:
+            del row[mo]
 
 
 @dataclass
@@ -337,32 +345,26 @@ class VacuumIdeal:
     spanning: list                      # (StateVector, provenance label)
     basis: list                         # echelonised StateVectors
     graded_dims: dict                   # degree -> dimension
+    by_lead: dict                       # leading monomial -> basis row
 
     @classmethod
     def from_spanning(cls, session: Session, states) -> "VacuumIdeal":
         basis = echelonize([s for s, _ in states if s])
+        by_lead = {min(b.terms, key=_mono_order): b for b in basis}
         dims = {}
-        for b in basis:
-            d = min(b.terms, key=_mono_order).degree
-            dims[d] = dims.get(d, 0) + 1
-        return cls(session, list(states), basis, dims)
+        for lead in by_lead:
+            dims[lead.degree] = dims.get(lead.degree, 0) + 1
+        return cls(session, list(states), basis, dims, by_lead)
 
     def contains(self, state: StateVector) -> bool:
         """Exact membership in the echelon span."""
         row = dict(state.terms)
-        table = {min(b.terms, key=_mono_order): b for b in self.basis}
         while row:
             lead = min(row, key=_mono_order)
-            b = table.get(lead)
+            b = self.by_lead.get(lead)
             if b is None:
                 return False
-            c = row[lead]
-            for mo, v in b.terms.items():
-                s = row.get(mo, _ZERO) - c * v
-                if s:
-                    row[mo] = s
-                elif mo in row:
-                    del row[mo]
+            _subtract(row, row.pop(lead), b.terms, lead)
         return True
 
     def tail_free(self) -> bool:

@@ -109,6 +109,15 @@ def test_act_command(cfg):
     assert out.stdout.strip() == "e(-1;2) |1>"
 
 
+def test_act_on_deep_word_refused_exit_3():
+    word = ["f(-1;0)"] * 1100
+    out = run_cli(["--config", os.path.join(ROOT, "configs", "session_sl2_r1.json"),
+                   "act", "e", "3", "0", *word, "vac"])
+    assert out.returncode == 3, out.stderr[-500:]
+    assert out.stderr.startswith("refused:")
+    assert "Traceback" not in out.stderr
+
+
 def test_locality_command(cfg):
     out = run_cli(["--config", cfg, "locality", "e", "f"])
     assert out.returncode == 0
@@ -172,6 +181,25 @@ def test_v0_command(cfg, tmp_path):
     assert data["ok"] is True
     assert data["graded_dims"]["0"] == 1
     assert data["graded_dims"]["1"] == 3  # dim g * |box| = 3 * 1
+
+
+def test_v0_builds_the_ideal_once(tmp_path, monkeypatch):
+    from torva import cli
+    from torva.vertexops import Session
+
+    calls = []
+    build = Session.build_vacuum_ideal
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Session, "build_vacuum_ideal", counted)
+    out = tmp_path / "v0.json"
+    config = os.path.join(ROOT, "configs", "session_sl2_r1.json")
+    assert cli.main(["--config", config, "v0", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert json.load(open(out))["basis_size"] == 190
 
 
 def test_report_command(cfg, tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from torva import Session, echelonize, loop_affine_graded_dims
-from torva.states import ShiftedModule
+from torva.states import PBWMonomial, ShiftedModule, StateVector
 
 from conftest import sl2_spec, small_window
 
@@ -235,6 +235,58 @@ def test_echelonize_integer_rows_exact(s):
     # a pivot of 3 divides exactly: (3a + 2b) / 3 keeps the coefficient 2/3
     (row,) = echelonize([a.scaled(3) + b.scaled(2)])
     assert sorted(row.terms.values()) == [Fraction(2, 3), 1]
+
+
+def _lead_key(st):
+    return min(st.terms, key=lambda mo: mo.sort_key()).sort_key()
+
+
+def test_echelonize_clears_older_leads(s):
+    a, b = sorted([s.parse_state("e(-1;0) vac"), s.parse_state("f(-1;0) vac")], key=_lead_key)
+    assert echelonize([b, a + b]) == [a, b]
+
+
+def _rref_reference(rows, cols):
+    """Dense Gauss-Jordan over Fraction, pivot columns taken left to right."""
+    m = [[Fraction(r.terms.get(c, 0)) for c in cols] for r in rows]
+    out, start = [], 0
+    for j in range(len(cols)):
+        p = next((i for i in range(start, len(m)) if m[i][j]), None)
+        if p is None:
+            continue
+        m[start], m[p] = m[p], m[start]
+        m[start] = [v / m[start][j] for v in m[start]]
+        for i in range(len(m)):
+            if i != start and m[i][j]:
+                f = m[i][j]
+                m[i] = [v - f * w for v, w in zip(m[i], m[start])]
+        start += 1
+    return m[:start]
+
+
+def test_echelonize_matches_dense_reference():
+    rng = random.Random(20261018)
+    cols = sorted({PBWMonomial(((k, a, (m,)),), None)
+                   for k in (1, 2) for a in range(3) for m in (-1, 0)}
+                  | {PBWMonomial((), t) for t in (None, 0, 2)}, key=PBWMonomial.sort_key)
+    coeffs = [-3, -1, 1, 2, 5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5)]
+    for _ in range(60):
+        rows = []
+        for _ in range(rng.randrange(1, 9)):
+            kind = rng.random()
+            if rows and kind < 0.2:
+                rows.append(rng.choice(rows))                    # duplicate
+            elif len(rows) > 1 and kind < 0.4:
+                u, v = rng.sample(rows, 2)                       # dependent
+                rows.append(u.scaled(rng.choice(coeffs)) + v.scaled(rng.choice(coeffs)))
+            else:
+                support = rng.sample(cols, rng.randrange(1, 5))
+                rows.append(StateVector({mo: rng.choice(coeffs) for mo in support}))
+        got = echelonize(rows)
+        want = [StateVector(dict(zip(cols, r))) for r in _rref_reference(rows, cols)]
+        assert got == want
+        for r in got:
+            assert all(type(v) in (int, Fraction) for v in r.terms.values())
 
 
 def test_reconstruction_from_vacuum_products(s, win):
