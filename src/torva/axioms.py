@@ -851,7 +851,7 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, depth: int, rng
     out.append(_finding("vacuum-ideal reconstruction", window, {}, run_reconstruction))
 
     def run_support():
-        ideal = ideal_holder.get("ideal") or session.build_vacuum_ideal(depth, window)
+        ideal = ideal_holder["ideal"]
         for st, label in ideal.spanning[: 12]:
             if not st:
                 continue

@@ -186,7 +186,7 @@ def cmd_v0(cfg: SessionConfig, args) -> int:
     holder = {}
     findings = _vacuum_ideal_findings(session, win, win.depth, random.Random(cfg.seed), holder)
     report = SuiteReport(findings, config_digest=_digest(cfg.digest_payload()))
-    ideal = holder.get("ideal") or session.build_vacuum_ideal(win.depth, win)
+    ideal = holder["ideal"]
     payload = report.to_json()
     payload["graded_dims"] = {str(k): v for k, v in sorted(ideal.graded_dims.items())}
     payload["basis_size"] = len(ideal.basis)

@@ -17,7 +17,7 @@ a single toroidal degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -345,16 +345,18 @@ class VacuumIdeal:
     spanning: list                      # (StateVector, provenance label)
     basis: list                         # echelonised StateVectors
     graded_dims: dict                   # degree -> dimension
-    by_lead: dict                       # leading monomial -> basis row
+    by_lead: dict = field(init=False, repr=False)  # leading monomial -> basis row
+
+    def __post_init__(self):
+        self.by_lead = {min(b.terms, key=_mono_order): b for b in self.basis}
 
     @classmethod
     def from_spanning(cls, session: Session, states) -> "VacuumIdeal":
-        basis = echelonize([s for s, _ in states if s])
-        by_lead = {min(b.terms, key=_mono_order): b for b in basis}
-        dims = {}
-        for lead in by_lead:
+        ideal = cls(session, list(states), echelonize([s for s, _ in states if s]), {})
+        dims = ideal.graded_dims
+        for lead in ideal.by_lead:
             dims[lead.degree] = dims.get(lead.degree, 0) + 1
-        return cls(session, list(states), basis, dims, by_lead)
+        return ideal
 
     def contains(self, state: StateVector) -> bool:
         """Exact membership in the echelon span."""
