@@ -31,7 +31,7 @@ from .fields import ModeWindow
 from .liecore import (Rational, ToroidalElement, frac, mi_add, mi_sub, mi_zero,
                       validate_lie_spec)
 from .series import binom
-from .states import LRUCache, ShiftedModule, StateVector, ZERO_STATE, _accumulate, state_to_json
+from .states import Memo, ShiftedModule, StateVector, ZERO_STATE, _accumulate, state_to_json
 from .vertexops import Session, loop_affine_graded_dims
 
 
@@ -71,10 +71,10 @@ class AxiomChecker:
     """Evaluation context for the identity checks: one session, one module
     (the vacuum module or a twist of it), shared commutator cache."""
 
-    def __init__(self, session: Session, module=None, cache_entries: int = 200_000):
+    def __init__(self, session: Session, module=None):
         self.session = session
         self.module = module or session.module
-        self._com = LRUCache(cache_entries)
+        self._com = Memo(session.cache_entries)
 
     # -- primitives -------------------------------------------------------------
 
@@ -127,7 +127,7 @@ class AxiomChecker:
                         _accumulate(lhs, self.vm(inner, j + b0, b, w), binom(l, j))
                 rhs = {}
                 baa = mi_sub(b, aa)
-                hi = self.module.max_degree(w) + v.max_degree() - 1 - b0
+                hi = w.max_degree() + v.max_degree() - 1 - b0
                 for i in range(hi + 1):
                     t = self.vm(v, b0 + i, baa, w)
                     if t:
@@ -153,7 +153,7 @@ class AxiomChecker:
         sess = self.session
         lhs = {}
         QP = mi_sub(Q, P)
-        hi1 = self.module.max_degree(w) + v.max_degree() - 1 - q0
+        hi1 = w.max_degree() + v.max_degree() - 1 - q0
         if n >= 0:
             hi1 = min(hi1, n)
         for i in range(hi1 + 1):
@@ -162,7 +162,7 @@ class AxiomChecker:
                 c = binom(n, i) * (-1 if i % 2 else 1)
                 _accumulate(lhs, self.vm(u, p0 + n - i, P, t), c)
         sign_n = -1 if n % 2 else 1
-        hi2 = self.module.max_degree(w) + u.max_degree() - 1 - p0
+        hi2 = w.max_degree() + u.max_degree() - 1 - p0
         if n >= 0:
             hi2 = min(hi2, n)
         for i in range(hi2 + 1):
@@ -288,7 +288,7 @@ class AxiomChecker:
         sess = self.session
         O = lambda x, n0, t: sess.ordinary_mode(x, n0, t, module=self.module)
         lhs = {}
-        hi1 = self.module.max_degree(w) + v.max_degree() - 1 - q
+        hi1 = w.max_degree() + v.max_degree() - 1 - q
         if n >= 0:
             hi1 = min(hi1, n)
         for i in range(hi1 + 1):
@@ -297,7 +297,7 @@ class AxiomChecker:
                 c = binom(n, i) * (-1 if i % 2 else 1)
                 _accumulate(lhs, O(u, p + n - i, t), c)
         sign_n = -1 if n % 2 else 1
-        hi2 = self.module.max_degree(w) + u.max_degree() - 1 - p
+        hi2 = w.max_degree() + u.max_degree() - 1 - p
         if n >= 0:
             hi2 = min(hi2, n)
         for i in range(hi2 + 1):

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 from .liecore import SpecFormatError, mi_sub, mi_zero
 from .series import binom, expand_minus_y_plus_x, expand_x_minus_y, series_multiply
-from .states import LRUCache, StateVector, ZERO_STATE, _accumulate
+from .states import Memo, StateVector, ZERO_STATE, _accumulate
 
 
 class LocalityError(RuntimeError):
@@ -120,17 +120,19 @@ class GeneratedSpace:
 class FieldSpace:
     """Factory and evaluation context for field handles over one module.
 
-    All mode evaluations are memoised on (provenance, mode, state); locality
-    orders are cached pairwise.  ``term_bound`` is a hard safety cap on the
-    number of terms any single product-mode sum may touch.
+    Two :class:`Memo` tables bounded by ``cache_entries``: ``_mode_cache`` on
+    (provenance, mode, state) and ``_comm_cache`` on (provenance pair, both
+    modes, state).  Locality orders go in an unbounded dict, one entry per
+    handle pair and window.  ``term_bound`` is a hard safety cap on the number
+    of terms any single product-mode sum may touch.
     """
 
     def __init__(self, module, term_bound: int = 200_000, cache_entries: int = 200_000):
         self.module = module
         self.r = module.r
         self.term_bound = term_bound
-        self._mode_cache = LRUCache(cache_entries)
-        self._comm_cache = LRUCache(cache_entries)
+        self._mode_cache = Memo(cache_entries)
+        self._comm_cache = Memo(cache_entries)
         self._locality_cache = {}
 
     # -- handle constructors --------------------------------------------------
@@ -199,10 +201,10 @@ class FieldSpace:
 
     def witness(self, h: FieldHandle, w: StateVector) -> int:
         """h(k0, k) w = 0 for every k0 beyond this bound."""
-        return self.module.max_degree(w) - h.t0_offset
+        return w.max_degree() - h.t0_offset
 
     def mode(self, h: FieldHandle, m0: int, m, w: StateVector) -> StateVector:
-        if not w or m0 > self.witness(h, w):
+        if not w or m0 > w.max_degree() - h.t0_offset:
             return ZERO_STATE
         key = (h.key, m0, m, w)
         out = self._mode_cache.get(key)

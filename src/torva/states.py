@@ -11,14 +11,16 @@ lexicographic.  Reordering two creation modes emits a single shorter
 correction word (their bracket; no central term can arise between two
 creation modes), so normalisation terminates.
 
-Mode action, degree bookkeeping and the restrictedness witness all live on
-:class:`VacuumModule`; results are memoised in a bounded LRU cache because
-closure generation revisits the same states heavily.
+Mode action and normal ordering live on :class:`VacuumModule`; results are
+memoised in :class:`Memo` tables because closure generation revisits the same
+states heavily.  Degrees are read off the states themselves
+(:meth:`StateVector.max_degree`): the grading gives a(n0, n) . w = 0 for every
+n0 beyond the top degree of w.  Monomials are interned, so equal monomials
+are one object and memo lookups on them hit on identity.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
 from .liecore import (LieAlgebraSpec, Scalar, SpecFormatError, ToroidalAlgebra,
@@ -39,15 +41,25 @@ class PBWMonomial:
 
     ``word`` is a tuple of (k, a, m) triples in canonical order; ``tail`` is a
     basis index of g or None for the cyclic vector 1.
+
+    Instances are interned (hash-consed): constructing the same (word, tail)
+    twice returns the same object, so equality is identity.
     """
 
     __slots__ = ("word", "tail", "degree", "_hash")
+    _interned = {}
 
-    def __init__(self, word: tuple, tail: Optional[int]):
-        self.word = word
-        self.tail = tail
-        self.degree = sum(k for (k, _, _) in word) + (0 if tail is None else 1)
-        self._hash = hash((word, tail))
+    def __new__(cls, word: tuple, tail: Optional[int]):
+        key = (word, tail)
+        mono = cls._interned.get(key)
+        if mono is None:
+            mono = object.__new__(cls)
+            mono.word = word
+            mono.tail = tail
+            mono.degree = sum(k for (k, _, _) in word) + (0 if tail is None else 1)
+            mono._hash = hash(key)
+            cls._interned[key] = mono
+        return mono
 
     def tmultidegree(self) -> tuple:
         """Total toroidal multidegree of the word part."""
@@ -60,10 +72,6 @@ class PBWMonomial:
 
     def sort_key(self):
         return (self.degree, self.word, -1 if self.tail is None else self.tail)
-
-    def __eq__(self, other):
-        return (isinstance(other, PBWMonomial)
-                and self.word == other.word and self.tail == other.tail)
 
     def __hash__(self):
         return self._hash
@@ -167,42 +175,40 @@ def _accumulate(acc: dict, state: StateVector, coeff):
             del acc[m]
 
 
-_MISS = object()
+class Memo:
+    """Memo table: a plain dict, cleared in full when a ``put`` would pass
+    ``max_entries``; ``max_entries <= 0`` disables it.
 
+    The cap bounds memory only: a value is recomputed after a clear, so no
+    result depends on it.  Stored values are never None.  There is no lock:
+    a table belongs to one session and is used by one thread at a time.
+    ``hits`` and ``misses`` count lookups, ``clears`` the full clears."""
 
-class LRUCache:
-    """Bounded memo table with least-recently-used eviction; max_entries <= 0
-    disables caching.
-
-    There is no lock: a table belongs to one session and is used by one
-    thread at a time.  ``hits`` and ``misses`` count lookups."""
-
-    __slots__ = ("_data", "_cap", "hits", "misses")
+    __slots__ = ("_data", "_cap", "hits", "misses", "clears")
 
     def __init__(self, max_entries: int = 200_000):
-        self._data = OrderedDict()
+        self._data = {}
         self._cap = max_entries
         self.hits = 0
         self.misses = 0
+        self.clears = 0
 
     def get(self, key):
-        if self._cap <= 0:
-            return None
-        val = self._data.get(key, _MISS)
-        if val is _MISS:
+        val = self._data.get(key)
+        if val is None:
             self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
+        else:
+            self.hits += 1
         return val
 
     def put(self, key, value):
-        if self._cap <= 0:
-            return
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self._cap:
-            self._data.popitem(last=False)
+        data = self._data
+        if len(data) >= self._cap:
+            if self._cap <= 0:
+                return
+            data.clear()
+            self.clears += 1
+        data[key] = value
 
     def __len__(self):
         return len(self._data)
@@ -225,8 +231,8 @@ class VacuumModule:
         self.spec = algebra.spec
         self.r = algebra.r
         self.level = frac(level)
-        self._act_cache = LRUCache(cache_entries)
-        self._word_cache = LRUCache(cache_entries)
+        self._act_cache = Memo(cache_entries)
+        self._word_cache = Memo(cache_entries)
         # cache keys embed this; a plain string hashes much faster than a
         # tuple holding a Fraction
         self.key = f"vacuum({self.level})"
@@ -250,18 +256,6 @@ class VacuumModule:
         t = None if tail in (None, "1") else self.spec.index_of(tail)
         out = {PBWMonomial(w, t): c for w, c in self._normalize_word(word).items()}
         return StateVector(out)
-
-    # -- degree bookkeeping -----------------------------------------------------
-
-    def max_degree(self, state: StateVector) -> int:
-        return state.max_degree()
-
-    def restricted_witness(self, a, n, state: StateVector) -> int:
-        """An N0 with a(n0, n) . state = 0 for every n0 > N0.
-
-        The grading gives N0 = max degree of the state, independent of a, n.
-        """
-        return state.max_degree()
 
     # -- normal ordering ---------------------------------------------------------
 
@@ -373,9 +367,6 @@ class VacuumModule:
             _accumulate(out, state, x.central * self.level)
         return StateVector(out)
 
-    def degrees(self, state: StateVector) -> list:
-        return state.degrees()
-
 
 class ShiftedModule:
     """The vacuum module twisted by the automorphism
@@ -402,12 +393,6 @@ class ShiftedModule:
     def act(self, a, n0, n, state):
         moved = tuple(ni + n0 * si for ni, si in zip(n, self.shift))
         return self.base.act(a, n0, moved, state)
-
-    def max_degree(self, state):
-        return state.max_degree()
-
-    def restricted_witness(self, a, n, state):
-        return state.max_degree()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .fields import FieldSpace, ModeWindow
 from .liecore import (LieAlgebraSpec, Scalar, SpecFormatError, ToroidalAlgebra,
                       frac, mi_sub, mi_zero)
 from .series import binom
-from .states import (LRUCache, PBWMonomial, StateVector, VACUUM_MONO,
+from .states import (Memo, PBWMonomial, StateVector, VACUUM_MONO,
                      VacuumModule, ZERO_STATE, _accumulate, state_from_json,
                      state_to_json)
 
@@ -43,10 +43,11 @@ class Session:
         self.r = r
         self.level = frac(level)
         self.algebra = ToroidalAlgebra(spec, r, cocycle_scale)
+        self.cache_entries = cache_entries
         self.module = VacuumModule(self.algebra, self.level, cache_entries)
         self.fields = FieldSpace(self.module, term_bound, cache_entries)
-        self._vm_cache = LRUCache(cache_entries)
-        self._vm_state_cache = LRUCache(cache_entries)
+        self._vm_cache = Memo(cache_entries)
+        self._vm_state_cache = Memo(cache_entries)
         self._zero_mi = mi_zero(r)
 
     # -- states ---------------------------------------------------------------
@@ -139,7 +140,7 @@ class Session:
         return cached
 
     def _vm_mono(self, mod, mono: PBWMonomial, n0: int, n, w: StateVector) -> StateVector:
-        if not w or n0 > mod.max_degree(w) + mono.degree - 1:
+        if not w or n0 > w.max_degree() + mono.degree - 1:
             return ZERO_STATE
         key = (mod.key, mono, n0, n, w)
         cached = self._vm_cache.get(key)
@@ -156,14 +157,15 @@ class Session:
             m0 = -k1
             nm = mi_sub(n, m1)
             acc = {}
-            hi1 = mod.max_degree(w) + rest.degree - 1 - n0
+            wdeg = w.max_degree()
+            hi1 = wdeg + rest.degree - 1 - n0
             for i in range(hi1 + 1):
                 t = self._vm_mono(mod, rest, n0 + i, nm, w)
                 if t:
                     c = binom(m0, i) * (-1 if i % 2 else 1)
                     _accumulate(acc, mod.act(a, m0 - i, m1, t), c)
             sign_m0 = -1 if m0 % 2 else 1
-            for i in range(mod.max_degree(w) + 1):
+            for i in range(wdeg + 1):
                 t = mod.act(a, i, m1, w)
                 if t:
                     c = -sign_m0 * binom(m0, i) * (-1 if i % 2 else 1)
@@ -176,11 +178,10 @@ class Session:
         """The algebra product u_(m0, m) v inside the vacuum module."""
         return self.vertex_mode(u, m0, tuple(m), v)
 
-    def field_witness(self, v, w: StateVector, module=None) -> int:
+    def field_witness(self, v, w: StateVector) -> int:
         """vertex_mode(v, n0, ., w) = 0 for all n0 beyond this bound."""
-        mod = module or self.module
         vdeg = v.max_degree() if isinstance(v, StateVector) else v.degree
-        return mod.max_degree(w) + vdeg - 1
+        return w.max_degree() + vdeg - 1
 
     # -- creation property -------------------------------------------------------
 

@@ -1,16 +1,18 @@
 """Axiom checks: the two weak identities, the coefficient form, skew
 symmetry, the vacuum-expansion trio, mutation sensitivity."""
 
+import dataclasses
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from torva import ModeWindow, Session, run_mutation_suite, run_suite
+from torva import ModeWindow, Session, SessionConfig, run_mutation_suite, run_suite
 from torva.axioms import (AxiomChecker, check_jacobi, check_skew_symmetry,
                           check_vacuum_expansion, mutation_catalog, sample_state)
 
-from conftest import abelian_spec, sl2_spec, small_window
+from conftest import CONFIG_DIR, abelian_spec, sl2_spec, small_window
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +193,38 @@ def test_run_suite_subset(s, win):
     laws = {f.law for f in rep.findings}
     assert "generator product table" in laws
     assert "jacobi identity" not in laws
+
+
+def test_checker_memo_follows_session_cap():
+    off = Session(sl2_spec(), 1, 1, cache_entries=0)
+    ch = AxiomChecker(off)
+    win = small_window(off)
+    assert ch.find_commutativity_order(off.tail("e"), off.tail("f"), win, 8) == 2
+    assert len(ch._com) == 0
+
+
+def test_cache_cap_never_changes_a_report():
+    # the memo cap bounds memory only, which is why it is not part of the
+    # --cache key: a cap that clears the tables over and over, and no memo at
+    # all, give the report of the default cap
+    base = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    groups = ["table", "locality", "transfer", "skew", "module-variant"]
+    reports = []
+    for cap in (200_000, 7, 0):
+        cfg = dataclasses.replace(base, cache_entries=cap)
+        session = cfg.build_session()
+        win, = cfg.build_windows(session)
+        rep = run_suite(session, win, seed=1, checks=groups,
+                        samples=cfg.samples, depth=win.depth)
+        for f in rep.findings:
+            f.wall_ms = 0
+        reports.append(rep.to_json())
+        if cap == 7:
+            table = session.fields._mode_cache
+            assert table.clears > 0 and len(table) <= 7
+    assert reports[0]["ok"]
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
 
 
 def test_finding_serialisation_roundtrip(s, ch, win):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from torva import Session, state_from_json, state_to_json
 from torva.axioms import mod_act_elem, sample_toroidal
-from torva.states import LRUCache, StateVector
+from torva.states import Memo, PBWMonomial, StateVector
 
 from conftest import sl2_spec
 
@@ -58,7 +58,7 @@ def test_restricted_witness_by_enumeration(s):
     rng = random.Random(0)
     for _ in range(10):
         w = s.parse_state("e(-2;1) f(-1;0) vac")
-        n0w = s.module.restricted_witness(0, (0,), w)
+        n0w = w.max_degree()
         assert n0w == 3
         for a in range(3):
             for n0 in range(n0w + 1, n0w + 4):
@@ -148,28 +148,40 @@ def test_cache_transparency():
                 == cached.module.act("e", n0, (0,), w_cached))
 
 
-def test_lru_eviction():
-    cache = LRUCache(2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1  # refresh a
-    cache.put("c", 3)           # evicts b
-    assert cache.get("b") is None
-    assert cache.get("a") == 1 and cache.get("c") == 3
+def test_memo_clear_on_cap():
+    memo = Memo(3)
+    for i in range(20):
+        memo.put(i, i)
+        assert len(memo) <= 3
+    # puts 3, 6, 9, 12, 15 and 18 found the table full
+    assert memo.clears == 6 and len(memo) == 2
+    assert memo.get(18) == 18 and memo.get(19) == 19 and memo.get(17) is None
+    memo.put(20, 20)            # fills the table to the cap, no clear
+    assert memo.clears == 6 and len(memo) == 3
+    memo.put(21, 21)            # would pass the cap: clear, then store
+    assert memo.clears == 7 and len(memo) == 1 and memo.get(20) is None
 
 
-def test_lru_counters():
-    cache = LRUCache(2)
-    assert cache.get("a") is None
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1 and cache.get("b") == 2
-    cache.put("c", 3)           # evicts a, the least recently used
-    assert cache.get("a") is None
-    assert (cache.hits, cache.misses, len(cache)) == (2, 2, 2)
-    off = LRUCache(0)
+def test_memo_counters():
+    memo = Memo(2)
+    assert memo.get("a") is None
+    memo.put("a", 1)
+    memo.put("b", 2)
+    assert memo.get("a") == 1 and memo.get("b") == 2
+    memo.put("c", 3)            # clears a and b
+    assert memo.get("a") is None and memo.get("c") == 3
+    assert (memo.hits, memo.misses, memo.clears, len(memo)) == (3, 2, 1, 1)
+    off = Memo(0)
     off.put("a", 1)
-    assert off.get("a") is None and len(off) == 0
+    assert off.get("a") is None and len(off) == 0 and off.clears == 0
+
+
+def test_monomials_are_interned(s):
+    word = ((2, 0, (1,)), (1, 1, (0,)))
+    assert PBWMonomial(word, None) is PBWMonomial(word, None)
+    assert PBWMonomial(word, 2) is not PBWMonomial(word, None)
+    mono, = s.parse_state("e(-2;1) f(-1;0) vac").terms
+    assert mono is PBWMonomial(mono.word, mono.tail)
 
 
 def test_state_json_same_for_int_and_fraction_coefficients(s):
