@@ -69,7 +69,7 @@ def _finding(law, window, detail, fn) -> Finding:
 
 class AxiomChecker:
     """Evaluation context for the identity checks: one session, one module
-    (the vacuum module or a twist of it), shared commutator cache."""
+    (the vacuum module or a twist of it), its own commutator table."""
 
     def __init__(self, session: Session, module=None):
         self.session = session

@@ -120,11 +120,12 @@ class GeneratedSpace:
 class FieldSpace:
     """Factory and evaluation context for field handles over one module.
 
-    Two :class:`Memo` tables bounded by ``cache_entries``: ``_mode_cache`` on
-    (provenance, mode, state) and ``_comm_cache`` on (provenance pair, both
-    modes, state).  Locality orders go in an unbounded dict, one entry per
-    handle pair and window.  ``term_bound`` is a hard safety cap on the number
-    of terms any single product-mode sum may touch.
+    Two :class:`Memo` tables bounded by ``cache_entries`` keep only what is
+    read again: ``_mode_cache`` the product modes on (provenance, mode,
+    state), as leaves recompute cheaply; ``_comm_cache`` the commutators of
+    the one pair whose locality order is being settled.  Locality orders go
+    in an unbounded dict, one per handle pair and window.  ``term_bound`` is
+    a hard cap on the number of terms any single product-mode sum may touch.
     """
 
     def __init__(self, module, term_bound: int = 200_000, cache_entries: int = 200_000):
@@ -189,13 +190,17 @@ class FieldSpace:
                     f"locality of ({a.label}, {b.label}) exceeds bound on the window")
         off = m0 + a.t0_offset + b.t0_offset
         label = f"({a.label})_({m0};{','.join(map(str, m))})({b.label})"
-        handle = FieldHandle(("prod", a.key, m0, m, b.key), off, None, label)
+        hkey = ("prod", a.key, m0, m, b.key)
 
         def ev(k0, k, w):
-            return self._product_mode(a, m0, m, b, k0, k, w)
+            key = (hkey, k0, k, w)
+            out = self._mode_cache.get(key)
+            if out is None:
+                out = self._product_mode(a, m0, m, b, k0, k, w)
+                self._mode_cache.put(key, out)
+            return out
 
-        handle._eval = ev
-        return handle
+        return FieldHandle(hkey, off, ev, label)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -206,12 +211,7 @@ class FieldSpace:
     def mode(self, h: FieldHandle, m0: int, m, w: StateVector) -> StateVector:
         if not w or m0 > w.max_degree() - h.t0_offset:
             return ZERO_STATE
-        key = (h.key, m0, m, w)
-        out = self._mode_cache.get(key)
-        if out is None:
-            out = h._eval(m0, m, w)
-            self._mode_cache.put(key, out)
-        return out
+        return h._eval(m0, m, w)
 
     def _product_mode(self, a, m0, m, b, k0, k, w) -> StateVector:
         km = mi_sub(k, m)
@@ -279,6 +279,7 @@ class FieldSpace:
             if self.locality_passes_at(a, b, k, window) is None:
                 result = k
                 break
+        self._comm_cache.empty()  # the order is settled; no entry is read again
         self._locality_cache[ckey] = result
         return result
 

@@ -125,9 +125,15 @@ class StateVector:
 
     def scaled(self, c: Scalar):
         c = frac(c)
+        if c == 1:
+            return self
         if not c:
             return ZERO_STATE
-        return StateVector({m: v * c for m, v in self.terms.items()})
+        # a nonzero multiple of nonzero exact terms has no zero term to drop
+        out = StateVector()
+        out.terms = {m: v * c for m, v in self.terms.items()}
+        out._maxdeg = self._maxdeg
+        return out
 
     def __eq__(self, other):
         return isinstance(other, StateVector) and self.terms == other.terms
@@ -209,6 +215,10 @@ class Memo:
             data.clear()
             self.clears += 1
         data[key] = value
+
+    def empty(self):
+        """Drop every entry; the counters are left as they are."""
+        self._data.clear()
 
     def __len__(self):
         return len(self._data)
@@ -315,6 +325,10 @@ class VacuumModule:
         n = tuple(n)
         if len(n) != self.r:
             raise SpecFormatError(f"multidegree {n} has rank {len(n)}, expected {self.r}")
+        if len(state.terms) == 1:  # dominant case: a single monomial
+            (mono, c), = state.terms.items()
+            out = self._act_mono(a, n0, n, mono)
+            return out if c == 1 else out.scaled(c)
         out = {}
         for mono, c in state.terms.items():
             _accumulate(out, self._act_mono(a, n0, n, mono), c)

@@ -208,7 +208,7 @@ def test_cache_cap_never_changes_a_report():
     # --cache key: a cap that clears the tables over and over, and no memo at
     # all, give the report of the default cap
     base = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
-    groups = ["table", "locality", "transfer", "skew", "module-variant"]
+    groups = ["table", "locality", "derivative", "transfer", "skew", "module-variant"]
     reports = []
     for cap in (200_000, 7, 0):
         cfg = dataclasses.replace(base, cache_entries=cap)

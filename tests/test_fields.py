@@ -52,6 +52,36 @@ def test_locality_minimality(s, win):
     assert fs.locality_passes_at(cur["e"], cur["f"], k - 1, win) is not None
 
 
+def test_commutator_table_holds_one_pair():
+    # once a pair's order is settled it is read from the locality table, so
+    # its commutators are dropped; the lookup counters are kept
+    s1 = Session(sl2_spec(), 1, 1)
+    w1 = small_window(s1, extra_states=[s1.parse_state("f(-1;0) vac")])
+    fs, cur = s1.fields, currents(s1)
+    assert fs.locality_order(cur["e"], cur["f"], w1) == 2
+    table = fs._comm_cache
+    assert len(table) == 0 and table.misses > 0 and table.clears == 0
+    misses = table.misses
+    assert fs.locality_order(cur["e"], cur["f"], w1) == 2
+    assert table.misses == misses
+
+
+def test_mode_table_holds_product_modes_only():
+    # a current's mode is one memoised module action and a derivative's is its
+    # base's mode times an integer: neither is stored, a product mode is
+    s1 = Session(sl2_spec(), 1, 1)
+    fs, cur = s1.fields, currents(s1)
+    w = s1.parse_state("f(-1;0) vac")
+    assert fs.mode(cur["e"], 0, (0,), w) == s1.parse_state("h(-1;0) vac")
+    assert fs.mode(fs.derivative(0, cur["e"]), 2, (0,), w) == s1.vacuum().scaled(-2)
+    assert len(fs._mode_cache) == 0
+    prod = fs.product(cur["e"], 0, (0,), cur["f"])
+    assert fs.mode(prod, -1, (0,), w) == fs.mode(cur["h"], -1, (0,), w)
+    assert len(fs._mode_cache) == 1
+    assert fs.mode(prod, -1, (0,), w) == fs.mode(cur["h"], -1, (0,), w)
+    assert (len(fs._mode_cache), fs._mode_cache.hits) == (1, 1)
+
+
 def test_locality_bound_exceeded_raises(s, win):
     cur = currents(s)
     assert s.fields.locality_order(cur["e"], cur["f"], win, bound=1) is None

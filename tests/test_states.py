@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from torva import Session, state_from_json, state_to_json
 from torva.axioms import mod_act_elem, sample_toroidal
-from torva.states import Memo, PBWMonomial, StateVector
+from torva.states import Memo, PBWMonomial, StateVector, ZERO_STATE, _accumulate
 
 from conftest import sl2_spec
 
@@ -174,6 +174,29 @@ def test_memo_counters():
     off = Memo(0)
     off.put("a", 1)
     assert off.get("a") is None and len(off) == 0 and off.clears == 0
+
+
+def test_act_on_one_term_matches_general_path(s):
+    mono, = s.parse_state("e(-2;1) f(-1;0) vac").terms
+    e = s.spec.index_of("e")
+    for c in (1, -2, Fraction(1, 3)):
+        for n0 in range(-2, 4):
+            general = {}
+            _accumulate(general, s.module._act_mono(e, n0, (1,), mono), c)
+            assert s.module.act("e", n0, (1,), StateVector.of(mono, c)) == StateVector(general)
+
+
+def test_scaled_fast_paths(s):
+    w = s.parse_state("e(-2;1) f(-1;0) vac") + s.tail("h")
+    assert w.scaled(1) is w and w.scaled(Fraction(1)) is w
+    for c in (-2, Fraction(1, 3)):
+        assert w.scaled(c).terms == {m: x * c for m, x in w.terms.items()}
+        assert w.scaled(c).scaled(Fraction(1) / c) == w
+    # the top degree is the same whether or not it was read before scaling
+    before = w.scaled(-2)
+    assert w.max_degree() == 3
+    assert w.scaled(-2).max_degree() == before.max_degree() == 3
+    assert w.scaled(0) is ZERO_STATE
 
 
 def test_monomials_are_interned(s):
