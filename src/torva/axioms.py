@@ -802,23 +802,30 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, depth: int, rng
         vac = session.vacuum()
         labels = session.spec.basis
         boxes = list(window.m_values())
+        modes0 = range(window.m0_lo, window.m0_hi + 1)
+        tails = [session.tail(x) for x in labels]
+        zero = mi_zero(session.r)
+        # every value that does not depend on (p0, q0, w) is computed once
+        depth1 = {(a, m): session.product(tails[a], -1, m, vac)
+                  for a in range(session.spec.dim) for m in boxes}
+        inner = {(am, p0, wi): session.ordinary_mode(x, p0, w) for am, x in depth1.items()
+                 for p0 in modes0 for wi, w in enumerate(window.states)}
         for a in range(session.spec.dim):
             for b in range(session.spec.dim):
                 for m in boxes:
+                    br = session.product(tails[a], 0, m, tails[b])
                     for n in boxes:
-                        u = session.product(session.tail(labels[a]), -1, m, vac)
-                        v = session.product(session.tail(labels[b]), -1, n, vac)
-                        for p0 in range(window.m0_lo, window.m0_hi + 1):
-                            for q0 in range(window.m0_lo, window.m0_hi + 1):
-                                for w in window.states:
-                                    lhs = (session.ordinary_mode(u, p0, session.ordinary_mode(v, q0, w))
-                                           - session.ordinary_mode(v, q0, session.ordinary_mode(u, p0, w)))
-                                    br = session.product(session.tail(labels[a]), 0, m, session.tail(labels[b]))
+                        u, v, mn = depth1[a, m], depth1[b, n], mi_add(m, n)
+                        brv = session.product(br, -1, mn, vac) if br else None
+                        for p0 in modes0:
+                            for q0 in modes0:
+                                for wi, w in enumerate(window.states):
+                                    lhs = (session.ordinary_mode(u, p0, inner[(b, n), q0, wi])
+                                           - session.ordinary_mode(v, q0, inner[(a, m), p0, wi]))
                                     rhs = ZERO_STATE
                                     if br:
-                                        rhs = session.ordinary_mode(
-                                            session.product(br, -1, mi_add(m, n), vac), p0 + q0, w)
-                                    if mi_add(m, n) == mi_zero(session.r) and p0 + q0 == 0:
+                                        rhs = session.ordinary_mode(brv, p0 + q0, w)
+                                    if mn == zero and p0 + q0 == 0:
                                         c = p0 * session.spec.pairing_basis(a, b) * session.level
                                         rhs = rhs + w.scaled(c)
                                     if lhs != rhs:

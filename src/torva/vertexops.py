@@ -232,9 +232,13 @@ class Session:
 
     def ordinary_mode(self, u: StateVector, n0: int, w: StateVector, module=None) -> StateVector:
         """Mode of the one-variable vertex operator: the toroidal variables are
-        collapsed at 1, i.e. summed over the (finite) support of u."""
+        collapsed at 1, i.e. summed over the (finite) support of u.  A support
+        of one degree returns ``vertex_mode``'s (memoised) result itself."""
+        supp = self.support(u)
+        if len(supp) == 1:
+            return self.vertex_mode(u, n0, next(iter(supp)), w, module=module)
         out = {}
-        for n in sorted(self.support(u)):
+        for n in sorted(supp):
             _accumulate(out, self.vertex_mode(u, n0, n, w, module=module), _ONE)
         return StateVector(out)
 
@@ -258,7 +262,8 @@ class Session:
         """Spanning states of the left ideal generated by the cyclic vector,
         from chains of at most ``depth`` window creation modes applied in
         canonical order (so each chain is a pure basis monomial), echelonised
-        over Q."""
+        over Q.  A chain's suffix ``chain[1:]`` is a canonical chain one mode
+        shorter, so each chain is built by one action on its suffix's state."""
         if depth < 1:
             raise SpecFormatError("depth must be >= 1")
         modes = []
@@ -268,22 +273,20 @@ class Session:
                     for m in window.m_values():
                         modes.append((-m0, a, m))
         modes.sort(key=lambda t: (-t[0], t[1], t[2]))
-        chains = [()]
-        states = [(self.vacuum(), "1")]
+        names = {(k, a, m): f"{self.spec.basis[a]}(-{k};{','.join(map(str, m))})"
+                 for (k, a, m) in modes}
+        built = {(): (self.vacuum(), "1")}  # chain -> (state, label), one depth
+        states = list(built.values())
         for _ in range(depth):
-            nxt = []
-            for chain in chains:
+            nxt = {}
+            for chain in built:
                 start = 0 if not chain else modes.index(chain[-1])
                 for mode in modes[start:]:
-                    nxt.append(chain + (mode,))
-            for chain in nxt:
-                st = self.vacuum()
-                for (k, a, m) in reversed(chain):
-                    st = self.module.act(a, -k, m, st)
-                label = " ".join(f"{self.spec.basis[a]}(-{k};{','.join(map(str, m))})"
-                                 for (k, a, m) in chain) + " 1"
-                states.append((st, label))
-            chains = nxt
+                    new = chain + (mode,)
+                    (k, a, m), (st, label) = new[0], built[new[1:]]
+                    nxt[new] = (self.module.act(a, -k, m, st), names[new[0]] + " " + label)
+            states.extend(nxt.values())
+            built = nxt
         return VacuumIdeal.from_spanning(self, states)
 
 
@@ -295,7 +298,7 @@ def echelonize(states: Sequence[StateVector]):
     """Reduced row echelon form over Q of a list of states, for the monomial
     order ``PBWMonomial.sort_key``: the pivot rows as StateVectors (pivot
     coefficient 1, every pivot lead cleared from all other rows), in pivot
-    order.
+    order.  A row whose lead coefficient is already 1 is not divided.
 
     Forward elimination reduces each incoming row only at its leading
     monomial, so a stored row may still hold the leads of other rows; one
@@ -308,8 +311,10 @@ def echelonize(states: Sequence[StateVector]):
             lead = min(row, key=_mono_order)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = Fraction(1) / row[lead]  # Fraction division, never int / int
-                pivots[lead] = {mo: v * inv for mo, v in row.items()}
+                if row[lead] != 1:  # a unit lead is kept, so integer rows stay integer
+                    inv = Fraction(1) / row[lead]  # Fraction division, never int / int
+                    row = {mo: v * inv for mo, v in row.items()}
+                pivots[lead] = row
                 break
             _subtract(row, row.pop(lead), pivot, lead)
     leads = sorted(pivots, key=_mono_order)

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from torva import ModeWindow, Session, SessionConfig, run_mutation_suite, run_suite
-from torva.axioms import (AxiomChecker, check_jacobi, check_skew_symmetry,
-                          check_vacuum_expansion, mutation_catalog, sample_state)
+from torva.axioms import (AxiomChecker, _vacuum_ideal_findings, check_jacobi,
+                          check_skew_symmetry, check_vacuum_expansion, mutation_catalog,
+                          sample_state)
 
 from conftest import CONFIG_DIR, abelian_spec, sl2_spec, small_window
 
@@ -246,6 +247,25 @@ def test_mutation_suite_detects_everything(s):
     win = small_window(s)
     rep = run_mutation_suite(s, win, seed=11)
     assert rep.ok, [f.detail for f in rep.findings if not f.ok]
+
+
+def test_affine_commutator_catches_mutants():
+    # the (p0, q0, w) loop reads hoisted values; a corrupted algebra must
+    # still fail at the first offending tuple, with the same witness
+    cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    want = {"cocycle*2": {"pair": ["e", "f"], "m": [-1], "n": [1], "modes": [-2, 2]},
+            "form[e,f]+1": {"pair": ["e", "f"], "m": [-1], "n": [1], "modes": [-2, 2]},
+            "struct[e,e->e]+1": {"pair": ["e", "e"], "m": [-1], "n": [-1], "modes": [-2, -2]}}
+    got = {}
+    for name, mutated in mutation_catalog(cfg.build_session()):
+        if name not in want:
+            continue
+        win, = cfg.build_windows(mutated)
+        findings = _vacuum_ideal_findings(mutated, win, win.depth, random.Random(0))
+        f, = [f for f in findings if f.law == "vacuum-ideal affine commutators"]
+        assert f.status == "fail", name
+        got[name] = f.witness
+    assert got == want
 
 
 def test_ordinary_jacobi_on_ideal(s, ch, win):

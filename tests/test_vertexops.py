@@ -183,6 +183,31 @@ def test_ideal_dims_match_independent_count(s):
     assert ideal.tail_free()
 
 
+def test_ideal_spanning_matches_chains_applied_from_vacuum(s):
+    # each chain is built from its suffix; the reference applies every chain
+    # from the vacuum, one mode at a time, as the construction did before
+    win = small_window(s)
+    ideal = s.build_vacuum_ideal(3, win)
+    modes = sorted(((-m0, a, m) for m0 in win.m0_values() if m0 <= -1
+                    for a in range(s.spec.dim) for m in win.m_values()),
+                   key=lambda t: (-t[0], t[1], t[2]))
+    chains, ref = [()], [(s.vacuum(), "1")]
+    for _ in range(3):
+        chains = [c + (mode,) for c in chains
+                  for mode in modes[(modes.index(c[-1]) if c else 0):]]
+        for chain in chains:
+            st = s.vacuum()
+            for (k, a, m) in reversed(chain):
+                st = s.module.act(a, -k, m, st)
+            label = " ".join(f"{s.spec.basis[a]}(-{k};{','.join(map(str, m))})"
+                             for (k, a, m) in chain) + " 1"
+            ref.append((st, label))
+    assert len(ideal.spanning) == len(ref) == 1 + 18 + 171 + 1140
+    for i, ((st, label), (want_st, want_label)) in enumerate(zip(ideal.spanning, ref)):
+        assert label == want_label, i
+        assert st == want_st, label
+
+
 def test_ideal_contains_and_tail_exclusion(s):
     win = small_window(s)
     ideal = s.build_vacuum_ideal(2, win)
@@ -239,6 +264,15 @@ def test_echelonize_integer_rows_exact(s):
 
 def _lead_key(st):
     return min(st.terms, key=lambda mo: mo.sort_key()).sort_key()
+
+
+def test_echelonize_unit_leads_stay_integer(s):
+    monos = [s.parse_state(x) for x in ("e(-1;0) vac", "f(-1;0) vac", "h(-1;1) vac",
+                                        "e(-1;1) f(-1;0) vac", "e(-2;0) vac")]
+    rows = echelonize(monos)
+    assert sorted(rows, key=_lead_key) == sorted(monos, key=_lead_key)
+    for r in rows:
+        assert all(type(v) is int for v in r.terms.values()), r.terms
 
 
 def test_echelonize_clears_older_leads(s):
@@ -309,6 +343,21 @@ def test_ordinary_mode_in_shifted_module(s):
     w = s.tail("f")
     for n0 in range(-2, 3):
         assert s.ordinary_mode(u, n0, w, module=mod) == mod.act("e", n0, (0,), w)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_ordinary_mode_one_and_two_degrees(s, win, shifted):
+    mod = ShiftedModule(s.module, (1,)) if shifted else None
+    one = s.parse_state("e(-1;0) vac")
+    two = one + s.parse_state("f(-1;1) vac")
+    assert s.support(two) == {(0,), (1,)}
+    for n0 in range(-2, 3):
+        for w in win.states:
+            # one degree: the operator's mode at that degree
+            assert s.ordinary_mode(one, n0, w, module=mod) == s.vertex_mode(one, n0, (0,), w, mod)
+            # two degrees: the sum over both
+            want = (s.vertex_mode(two, n0, (0,), w, mod) + s.vertex_mode(two, n0, (1,), w, mod))
+            assert s.ordinary_mode(two, n0, w, module=mod) == want
 
 
 def test_parse_state_grammar(s):
