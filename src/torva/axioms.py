@@ -21,6 +21,8 @@ coefficient form is kept as a randomised spot check of the equivalence.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -193,26 +195,31 @@ class AxiomChecker:
             c = binom(b0, s)
             if c:
                 _accumulate(acc, F(a0 + s, BA, b0 - s, B), sign * c)
-        return StateVector(acc)
+        return StateVector.adopt(acc)
+
+    def _composite_modes(self, x, y, states):
+        """F(c0, C, d0, D, si): the (d0, D) mode of the vertex operator of
+        x_(c0, C) y on ``states[si]``, with the products and the values held
+        in tables local to the caller, so each is computed once per call."""
+        product = functools.cache(lambda c0, C: self.session.product(x, c0, C, y))
+        return functools.cache(lambda c0, C, d0, D, si: self.vm(product(c0, C), d0, D, states[si]))
 
     def skew_symmetry_witness(self, u, v, window: ModeWindow):
         """Composite vertex operators of (u, v) against the skew transform of
-        those of (v, u), coefficientwise on the window."""
+        those of (v, u), coefficientwise on the window.  The products
+        u_(c0, C) v and v_(c0, C) u and their modes are held in tables local
+        to this call: a pair has few distinct products, and the scan reads
+        each of them many times."""
         sess = self.session
-
-        def Fuv(c0, C, d0, D, w):
-            return self.vm(sess.product(u, c0, C, v), d0, D, w)
-
-        def Fvu(c0, C, d0, D, w):
-            return self.vm(sess.product(v, c0, C, u), d0, D, w)
-
+        Fuv = self._composite_modes(u, v, window.states)
+        Fvu = self._composite_modes(v, u, window.states)
         bound_vu = u.max_degree() + v.max_degree() - 1
         for (a0, A) in window.modes():
             for (b0, B) in window.modes():
-                for si, w in enumerate(window.states):
-                    lhs = Fuv(a0, A, b0, B, w)
+                for si in range(len(window.states)):
+                    lhs = Fuv(a0, A, b0, B, si)
                     rhs = self._skew_transform(
-                        lambda c0, C, d0, D: Fvu(c0, C, d0, D, w),
+                        lambda c0, C, d0, D: Fvu(c0, C, d0, D, si),
                         a0, A, b0, B, max(bound_vu - a0, 0))
                     if lhs != rhs:
                         return {"tuple": [a0, list(A), b0, list(B)], "state": si,
@@ -222,21 +229,20 @@ class AxiomChecker:
 
     def skew_involution_witness(self, u, v, window: ModeWindow):
         """Applying the skew transform twice must return the original
-        composite modes (binomial telescoping, checked on the window)."""
-        sess = self.session
+        composite modes (binomial telescoping, checked on the window).  The
+        products u_(c0, C) v, their modes and the inner transforms TF are
+        held in tables local to this call, keyed by their arguments and the
+        state index."""
+        F = self._composite_modes(u, v, window.states)
         bound = u.max_degree() + v.max_degree() - 1
+        TF = functools.cache(lambda c0, C, d0, D, si: self._skew_transform(
+            lambda *args: F(*args, si), c0, C, d0, D, max(bound - c0, 0)))
         for (a0, A) in window.modes():
             for (b0, B) in window.modes():
-                for si, w in enumerate(window.states):
-                    def F(c0, C, d0, D):
-                        return self.vm(sess.product(u, c0, C, v), d0, D, w)
-
-                    def TF(c0, C, d0, D):
-                        return self._skew_transform(F, c0, C, d0, D, max(bound - c0, 0))
-
-                    twice = self._skew_transform(TF, a0, A, b0, B, max(bound - a0, 0))
-                    direct = F(a0, A, b0, B)
-                    if twice != direct:
+                for si in range(len(window.states)):
+                    twice = self._skew_transform(lambda *args: TF(*args, si),
+                                                 a0, A, b0, B, max(bound - a0, 0))
+                    if twice != F(a0, A, b0, B, si):
                         return {"tuple": [a0, list(A), b0, list(B)], "state": si}
         return None
 
@@ -688,30 +694,33 @@ def _oracle_findings(session: Session, window: ModeWindow, rng, pairs: int) -> l
 def _derivative_findings(session: Session, window: ModeWindow) -> list:
     """Derivative handles against the generating-function shifts: the first
     slot obeys (D0 a)_(m0,m) b = -m0 a_(m0-1,m) b and
-    (Di a)_(m0,m) b = -m_i a_(m0,m) b."""
+    (Di a)_(m0,m) b = -m_i a_(m0,m) b.  A reference product is read again
+    only within its own generator pair, so the field space's product-mode
+    table is emptied when the check moves to the next pair."""
     fs = session.fields
     out = []
 
     def run():
         currents = [fs.current(a) for a in session.spec.basis]
-        for ha in currents:
-            for hb in currents:
-                for i in range(session.r + 1):
-                    da = fs.derivative(i, ha)
-                    for (m0, m) in window.modes():
-                        lhs = fs.product(da, m0, m, hb, window=window)
-                        if i == 0:
-                            ref = fs.product(ha, m0 - 1, m, hb, window=window)
-                            scale = -m0
-                        else:
-                            ref = fs.product(ha, m0, m, hb, window=window)
-                            scale = -m[i - 1]
-                        for (k0, k) in window.modes():
-                            for w in window.states:
-                                if fs.mode(lhs, k0, k, w) != fs.mode(ref, k0, k, w).scaled(scale):
-                                    return "fail", {"pair": [ha.label, hb.label], "i": i,
-                                                    "product_mode": [m0, list(m)],
-                                                    "mode": [k0, list(k)]}
+        for n, (ha, hb) in enumerate(itertools.product(currents, repeat=2)):
+            if n:  # a pair's reference products are read only within it
+                fs.empty_mode_cache()
+            for i in range(session.r + 1):
+                da = fs.derivative(i, ha)
+                for (m0, m) in window.modes():
+                    lhs = fs.product(da, m0, m, hb, window=window)
+                    if i == 0:
+                        ref = fs.product(ha, m0 - 1, m, hb, window=window)
+                        scale = -m0
+                    else:
+                        ref = fs.product(ha, m0, m, hb, window=window)
+                        scale = -m[i - 1]
+                    for (k0, k) in window.modes():
+                        for w in window.states:
+                            if fs.mode(lhs, k0, k, w) != fs.mode(ref, k0, k, w).scaled(scale):
+                                return "fail", {"pair": [ha.label, hb.label], "i": i,
+                                                "product_mode": [m0, list(m)],
+                                                "mode": [k0, list(k)]}
         return "pass", None
     out.append(_finding("derivative shift relations", window, {}, run))
     return out

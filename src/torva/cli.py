@@ -203,9 +203,14 @@ def cmd_v0(cfg: SessionConfig, args) -> int:
 
 
 def cmd_report(cfg, args) -> int:
-    with open(args.path) as fh:
-        data = json.load(fh)
-    findings = _findings_from_json(data.get("findings", []))
+    try:
+        with open(args.path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or not isinstance(data.get("findings"), list):
+            raise ValueError("no 'findings' list")
+        findings = _findings_from_json(data["findings"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SpecFormatError(f"{args.path!r} is not a readable report: {exc!r}") from exc
     report = SuiteReport(findings, config_digest=data.get("config_digest", ""))
     for line in report.summary_lines():
         print(line)
@@ -217,7 +222,10 @@ def _parse_multi(text: str, r: int):
     parts = [p for p in str(text).split(",") if p != ""]
     if len(parts) != r:
         raise SpecFormatError(f"multi-index {text!r} has rank {len(parts)}, expected {r}")
-    return tuple(int(p) for p in parts)
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise SpecFormatError(f"multi-index {text!r} is not a list of integers") from None
 
 
 def _print_state(session, state, as_json: bool):

@@ -120,12 +120,13 @@ class GeneratedSpace:
 class FieldSpace:
     """Factory and evaluation context for field handles over one module.
 
-    Two :class:`Memo` tables bounded by ``cache_entries`` keep only what is
-    read again: ``_mode_cache`` the product modes on (provenance, mode,
-    state), as leaves recompute cheaply; ``_comm_cache`` the commutators of
-    the one pair whose locality order is being settled.  Locality orders go
-    in an unbounded dict, one per handle pair and window.  ``term_bound`` is
-    a hard cap on the number of terms any single product-mode sum may touch.
+    :class:`Memo` tables bounded by ``cache_entries`` keep only what is read
+    again: ``_mode_cache`` the product modes on (provenance, mode, state), as
+    leaves recompute cheaply, until the derivative check moves to its next
+    generator pair; ``_comm_cache`` the commutators of the one pair whose
+    locality order is being settled, and ``_first_cache`` their inner
+    applications.  Locality orders go in an unbounded dict, one per handle
+    pair and window.  ``term_bound`` caps the terms of any product-mode sum.
     """
 
     def __init__(self, module, term_bound: int = 200_000, cache_entries: int = 200_000):
@@ -134,16 +135,24 @@ class FieldSpace:
         self.term_bound = term_bound
         self._mode_cache = Memo(cache_entries)
         self._comm_cache = Memo(cache_entries)
+        self._first_cache = Memo(cache_entries)
         self._locality_cache = {}
+
+    def empty_mode_cache(self):
+        """Drop every stored product mode; the counters are kept."""
+        self._mode_cache.empty()
 
     # -- handle constructors --------------------------------------------------
 
     def current(self, a) -> FieldHandle:
-        idx = self.module.spec.index_of(a)
-        label = self.module.spec.basis[idx]
+        module, r = self.module, self.r
+        idx = module.spec.index_of(a)
+        label = module.spec.basis[idx]
 
         def ev(m0, m, w):
-            return self.module.act(idx, m0, m, w)
+            if type(m) is tuple and len(m) == r:
+                return module.act_index(idx, m0, m, w)
+            return module.act(idx, m0, m, w)  # converts m or raises on its rank
 
         return FieldHandle(("cur", idx), 0, ev, label)
 
@@ -237,7 +246,7 @@ class FieldSpace:
             if inner:
                 c = -sign_m0 * binom(m0, i) * (-1 if i % 2 else 1)
                 _accumulate(acc, self.mode(b, m0 + k0 - i, km, inner), c)
-        return StateVector(acc)
+        return StateVector.adopt(acc)
 
     # -- locality -----------------------------------------------------------------
 
@@ -245,9 +254,17 @@ class FieldSpace:
         key = (a.key, b.key, p0, p, q0, q, w)
         out = self._comm_cache.get(key)
         if out is None:
-            out = (self.mode(a, p0, p, self.mode(b, q0, q, w))
-                   - self.mode(b, q0, q, self.mode(a, p0, p, w)))
+            out = (self.mode(a, p0, p, self._first(b, q0, q, w))
+                   - self.mode(b, q0, q, self._first(a, p0, p, w)))
             self._comm_cache.put(key, out)
+        return out
+
+    def _first(self, h, m0, m, w) -> StateVector:  # read across a scan's row
+        key = (h.key, m0, m, w)
+        out = self._first_cache.get(key)
+        if out is None:
+            out = self.mode(h, m0, m, w)
+            self._first_cache.put(key, out)
         return out
 
     def locality_passes_at(self, a, b, k: int, window: ModeWindow):
@@ -280,6 +297,7 @@ class FieldSpace:
                 result = k
                 break
         self._comm_cache.empty()  # the order is settled; no entry is read again
+        self._first_cache.empty()
         self._locality_cache[ckey] = result
         return result
 

@@ -55,10 +55,6 @@ def mi_sub(m: tuple, n: tuple) -> tuple:
     return tuple(a - b for a, b in zip(m, n))
 
 
-def mi_neg(m: tuple) -> tuple:
-    return tuple(-a for a in m)
-
-
 def mi_is_zero(m: tuple) -> bool:
     return all(a == 0 for a in m)
 

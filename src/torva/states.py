@@ -93,6 +93,14 @@ class StateVector:
         self._maxdeg = None
 
     @classmethod
+    def adopt(cls, terms: dict):
+        """A state over ``terms`` itself, not copied or filtered: for a local
+        accumulator that :func:`_accumulate` has cleaned and nothing reuses."""
+        out = cls.__new__(cls)
+        out.terms, out._hash, out._maxdeg = terms, None, None
+        return out
+
+    @classmethod
     def of(cls, mono: PBWMonomial, coeff: Scalar = 1):
         c = frac(coeff)
         return cls({mono: c} if c else {})
@@ -118,7 +126,9 @@ class StateVector:
         return StateVector(out)
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        out = dict(self.terms)
+        _accumulate(out, other, -1)
+        return StateVector.adopt(out)
 
     def __neg__(self):
         return self.scaled(-1)
@@ -320,11 +330,19 @@ class VacuumModule:
         return ZERO_STATE
 
     def act(self, a, n0: int, n, state: StateVector) -> StateVector:
-        """Apply the mode a(n0, n) to a state; exact."""
+        """Apply the mode a(n0, n) to a state; exact.  For external callers:
+        ``a`` (a label or index) and the rank of ``n`` (any sequence) are
+        checked, and raise :class:`SpecFormatError`."""
         a = self.spec.index_of(a)
         n = tuple(n)
         if len(n) != self.r:
             raise SpecFormatError(f"multidegree {n} has rank {len(n)}, expected {self.r}")
+        return self.act_index(a, n0, n, state)
+
+    def act_index(self, a: int, n0: int, n: tuple, state: StateVector) -> StateVector:
+        """:meth:`act` without its checks, for callers that hold a resolved
+        basis index and a rank-r tuple multidegree: a current's mode evaluator
+        in :class:`FieldSpace` and the recursion of :meth:`_act_mono`."""
         if len(state.terms) == 1:  # dominant case: a single monomial
             (mono, c), = state.terms.items()
             out = self._act_mono(a, n0, n, mono)
@@ -345,7 +363,7 @@ class VacuumModule:
             out = {}
             for w, c in self._normalize_word(((-n0, a, n),) + mono.word).items():
                 out[PBWMonomial(w, mono.tail)] = c  # canonical words are distinct
-            result = StateVector(out)
+            result = StateVector.adopt(out)
         elif not mono.word:
             result = self.base_action(a, n0, n, mono.tail)
         else:
@@ -355,7 +373,7 @@ class VacuumModule:
             # X.Y.rest = Y.(X.rest) + [X,Y].rest
             inner = self._act_mono(a, n0, n, rest)
             if inner:
-                _accumulate(out, self.act(b, -k1, m1, inner), _ONE)
+                _accumulate(out, self.act_index(b, -k1, m1, inner), _ONE)
             t0, t = n0 - k1, mi_add(n, m1)
             for c, s in self.spec.bracket_basis(a, b).items():
                 _accumulate(out, self._act_mono(c, t0, t, rest), s)
@@ -363,7 +381,7 @@ class VacuumModule:
                 central = (n0 * self.spec.pairing_basis(a, b)
                            * self.level * self.algebra.cocycle_scale)
                 _accumulate(out, StateVector.of(rest), central)
-            result = StateVector(out)
+            result = StateVector.adopt(out)
         self._act_cache.put(key, result)
         return result
 

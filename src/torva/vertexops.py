@@ -26,8 +26,7 @@ from .liecore import (LieAlgebraSpec, Scalar, SpecFormatError, ToroidalAlgebra,
                       frac, mi_sub, mi_zero)
 from .series import binom
 from .states import (Memo, PBWMonomial, StateVector, VACUUM_MONO,
-                     VacuumModule, ZERO_STATE, _accumulate, state_from_json,
-                     state_to_json)
+                     VacuumModule, ZERO_STATE, _accumulate, state_from_json)
 
 _ZERO = 0
 _ONE = 1
@@ -94,14 +93,14 @@ class Session:
         parts = body.split(";")
         if len(parts) != 2:
             raise SpecFormatError(f"bad mode token {tok!r}; expected label(n0;m,...)")
-        n0 = int(parts[0])
-        n = tuple(int(x) for x in parts[1].split(",")) if parts[1] else ()
+        try:
+            n0 = int(parts[0])
+            n = tuple(int(x) for x in parts[1].split(",")) if parts[1] else ()
+        except ValueError:
+            raise SpecFormatError(f"bad mode token {tok!r}; indices must be integers") from None
         if len(n) != self.r:
             raise SpecFormatError(f"mode {tok!r} has rank {len(n)}, session rank is {self.r}")
         return label, n0, n
-
-    def state_json(self, state: StateVector) -> list:
-        return state_to_json(self.spec, state)
 
     def render(self, state: StateVector) -> str:
         if state.is_zero():
@@ -170,7 +169,7 @@ class Session:
                 if t:
                     c = -sign_m0 * binom(m0, i) * (-1 if i % 2 else 1)
                     _accumulate(acc, self._vm_mono(mod, rest, m0 + n0 - i, nm, t), c)
-            result = StateVector(acc)
+            result = StateVector.adopt(acc)
         self._vm_cache.put(key, result)
         return result
 

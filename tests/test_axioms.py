@@ -2,6 +2,8 @@
 symmetry, the vacuum-expansion trio, mutation sensitivity."""
 
 import dataclasses
+import hashlib
+import json
 import os
 import random
 from fractions import Fraction
@@ -9,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 from torva import ModeWindow, Session, SessionConfig, run_mutation_suite, run_suite
-from torva.axioms import (AxiomChecker, _vacuum_ideal_findings, check_jacobi,
-                          check_skew_symmetry, check_vacuum_expansion, mutation_catalog,
-                          sample_state)
+from torva.axioms import (AxiomChecker, _derivative_findings, _vacuum_ideal_findings,
+                          check_jacobi, check_skew_symmetry, check_vacuum_expansion,
+                          mutation_catalog, sample_state)
 
 from conftest import CONFIG_DIR, abelian_spec, sl2_spec, small_window
 
@@ -266,6 +268,60 @@ def test_affine_commutator_catches_mutants():
         assert f.status == "fail", name
         got[name] = f.witness
     assert got == want
+
+
+def test_derivative_check_keeps_one_pair_of_product_modes():
+    # a reference product is read again only within its generator pair, so
+    # the product-mode table is emptied when the check moves to the next pair
+    cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    session = cfg.build_session()
+    win, = cfg.build_windows(session)
+    f, = _derivative_findings(session, win)
+    assert f.status == "pass"
+
+    def pair(key):
+        _, a, _, _, b = key[0]  # ("prod", a.key, m0, m, b.key)
+        while a[0] == "D":  # ("D", i, base key)
+            a = a[2]
+        return a, b
+
+    table = session.fields._mode_cache
+    assert len(table) > 0
+    assert {pair(key) for key in table._data} == {(("cur", 2), ("cur", 2))}
+
+
+# Skew-group findings of every catalogue mutant on the r1 config window:
+# the labels that fail, and a digest of every (label, status, witness).
+SKEW_MUTANT_WITNESSES = {
+    "cocycle*2": ([], "51f51f6bb4cdc2c0"),
+    "form[e,e]+1": (["(e,h)", "(h,e)"], "6e2d442ae7acc326"),
+    "form[e,f]+1": (["(e,f)", "(e,h)", "(f,e)", "(h,e)"], "f6fb89048b9b74c4"),
+    "form[e,h]+1": (["(e,f)", "(e,h)", "(f,e)", "(h,e)"], "3da4bfc9928682e6"),
+    "form[f,e]+1": (["(e,f)", "(f,e)", "(f,h)", "(h,f)"], "1ee187829e7eb923"),
+    "form[f,f]+1": (["(f,h)", "(h,f)"], "6aa9ca01e4c42f8f"),
+    "form[f,h]+1": (["(e,f)", "(f,e)", "(f,h)", "(h,f)"], "6307f6c14f8eb1f1"),
+    "form[h,e]+1": (["(e,f)", "(e,h)", "(f,e)", "(h,e)"], "99a1ebc8eab6ec5f"),
+    "form[h,f]+1": (["(e,f)", "(f,e)", "(f,h)", "(h,f)"], "459a016a5056878c"),
+    "form[h,h]+1": (["(e,h)", "(f,h)", "(h,e)", "(h,f)"], "f7cc077bd5029ee8"),
+    "struct[e,e->e]+1": (["(e,e)", "(e,f)", "(e,h)", "(f,e)", "(h,e)"], "3bb2d2536bc248e3"),
+    "struct[e,f->h]+1": (["(e,f)", "(e,h)", "(f,e)", "(h,e)"], "70fe0903170554dc"),
+    "struct[e,h->e]+1": (["(e,f)", "(e,h)", "(f,e)", "(h,e)"], "1f805fe313350e00"),
+    "struct[f,h->f]+1": (["(e,f)", "(f,e)", "(f,h)", "(h,f)"], "2a7ede877945f9ae"),
+}
+
+
+def test_skew_witnesses_of_mutants_are_fixed():
+    # the skew scans read per-call tables; a corrupted algebra must still
+    # fail at the same first tuple, with the same two sides
+    cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    got = {}
+    for name, mutated in mutation_catalog(cfg.build_session()):
+        win, = cfg.build_windows(mutated)
+        rep = run_suite(mutated, win, seed=cfg.seed, checks=["skew"])
+        rows = [[f.detail["states"], f.status, f.witness] for f in rep.findings]
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+        got[name] = (sorted(f.detail["states"] for f in rep.findings if not f.ok), digest)
+    assert got == SKEW_MUTANT_WITNESSES
 
 
 def test_ordinary_jacobi_on_ideal(s, ch, win):

@@ -207,3 +207,36 @@ def test_report_command(cfg, tmp_path):
     out = run_cli(["--config", cfg, "report", str(tmp_path / "rep.json")])
     assert out.returncode == 0
     assert "overall: pass" in out.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["act", "e", "0", "x", "vac"],
+    ["act", "e", "0", "0", "e(x;0)", "vac"],
+    ["product", "e", "0", "0", "e(-1;x)", "vac"],
+    ["product", "e", "0", "e", "vac"]])
+def test_bad_mode_token_exit_2(cfg, args):
+    out = run_cli(["--config", cfg, *args])
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("content", ["{nope", "[1, 2]", '{"findings": 3}',
+                                     '{"findings": [1]}', '{"findings": [{}]}'])
+def test_report_on_a_non_report_exit_2(cfg, tmp_path, content):
+    bad = tmp_path / "bad_report.json"
+    bad.write_text(content)
+    out = run_cli(["--config", cfg, "report", str(bad)])
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("path", [os.path.join(ROOT, "configs", "sl2.json"),
+                                  os.path.join(ROOT, "configs")],
+                         ids=["config", "directory"])
+def test_report_on_a_config_or_directory_exit_2(cfg, path):
+    # an object without a findings list is not a passing report
+    out = run_cli(["--config", cfg, "report", path])
+    assert out.returncode == 2, out.stderr
+    assert "overall" not in out.stdout
+    assert "Traceback" not in out.stderr

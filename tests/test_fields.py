@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from torva import LocalityError, ModeWindow, Session
+from torva import LocalityError, ModeWindow, Session, SpecFormatError
 
 from conftest import abelian_spec, sl2_spec, small_window
 
@@ -80,6 +80,33 @@ def test_mode_table_holds_product_modes_only():
     assert len(fs._mode_cache) == 1
     assert fs.mode(prod, -1, (0,), w) == fs.mode(cur["h"], -1, (0,), w)
     assert (len(fs._mode_cache), fs._mode_cache.hits) == (1, 1)
+
+
+def test_first_applications_are_kept_per_pair():
+    # the inner applications a(p0, p) w and b(q0, q) w of the locality scan
+    # are dropped with the pair's commutators; a scan run on its own gives
+    # the verdicts of one run inside locality_order
+    s1 = Session(sl2_spec(), 1, 1)
+    w1 = small_window(s1, extra_states=[s1.parse_state("f(-1;0) vac")])
+    fs, cur = s1.fields, currents(s1)
+    assert fs.locality_passes_at(cur["e"], cur["f"], 1, w1) is not None
+    assert fs.locality_passes_at(cur["e"], cur["f"], 2, w1) is None
+    assert len(fs._first_cache) > 0
+    assert fs.locality_order(cur["e"], cur["f"], w1) == 2
+    assert len(fs._first_cache) == 0 and len(fs._comm_cache) == 0
+
+
+def test_current_mode_takes_any_multidegree_sequence(s):
+    # the evaluator's unchecked path is for rank-r tuples; anything else goes
+    # through the module's checked action
+    e, w = s.fields.current("e"), s.parse_state("f(-1;0) vac")
+    for m0 in range(-2, 2):
+        for m in range(-1, 2):
+            assert s.fields.mode(e, m0, [m], w) == s.fields.mode(e, m0, (m,), w)
+    assert s.fields.mode(e, 0, (0,), w) == s.parse_state("h(-1;0) vac")
+    for bad in ((0, 0), [0, 0], ()):
+        with pytest.raises(SpecFormatError):
+            s.fields.mode(e, -1, bad, w)
 
 
 def test_locality_bound_exceeded_raises(s, win):

@@ -186,6 +186,34 @@ def test_act_on_one_term_matches_general_path(s):
             assert s.module.act("e", n0, (1,), StateVector.of(mono, c)) == StateVector(general)
 
 
+_MONOS = ([PBWMonomial((), t) for t in (None, 0, 1, 2)]
+          + [PBWMonomial(((k, a, (m,)),), None)
+             for k in (1, 2) for a in range(3) for m in (-1, 0, 1)])
+_COEFFS = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=4))
+_STATES = st.dictionaries(st.sampled_from(_MONOS), _COEFFS, max_size=6).map(StateVector)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STATES, _STATES)
+def test_subtraction_matches_adding_the_negative(a, b):
+    diff = a - b
+    assert diff == a + b.scaled(-1)
+    assert diff + b == a
+    assert a - a == ZERO_STATE
+    for state in (diff, diff + b, a + b.scaled(-1), a - a):
+        assert all(c != 0 for c in state.terms.values())
+
+
+def test_adopt_keeps_the_dict(s):
+    acc = {}
+    _accumulate(acc, s.parse_state("e(-2;1) f(-1;0) vac") + s.tail("h"), Fraction(1, 2))
+    state = StateVector.adopt(acc)
+    assert state.terms is acc
+    assert state == StateVector(dict(acc)) and hash(state) == hash(StateVector(dict(acc)))
+    assert state.max_degree() == 3
+
+
 def test_scaled_fast_paths(s):
     w = s.parse_state("e(-2;1) f(-1;0) vac") + s.tail("h")
     assert w.scaled(1) is w and w.scaled(Fraction(1)) is w
