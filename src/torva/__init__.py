@@ -3,7 +3,7 @@ built from multi-loop current algebras, with coefficientwise verification of
 their defining identities on finite index windows."""
 
 from .liecore import (LieAlgebraSpec, SpecFormatError, ToroidalAlgebra,
-                      ToroidalElement, bracket_g, validate_lie_spec)
+                      ToroidalElement, validate_lie_spec)
 from .states import (PBWMonomial, ShiftedModule, StateVector, VacuumModule,
                      state_from_json, state_to_json)
 from .fields import (FieldHandle, FieldSpace, GeneratedSpace, LocalityError,

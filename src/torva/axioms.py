@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .fields import ModeWindow
-from .liecore import (Rational, ToroidalElement, frac, mi_add, mi_sub, mi_zero,
+from .fields import ModeWindow, component_sum
+from .liecore import (ToroidalElement, frac, mi_add, mi_sub, mi_zero,
                       validate_lie_spec)
 from .series import binom
-from .states import Memo, ShiftedModule, StateVector, ZERO_STATE, _accumulate, state_to_json
+from .states import ShiftedModule, StateVector, ZERO_STATE, _accumulate, state_to_json
 from .vertexops import Session, loop_affine_graded_dims
 
 
@@ -70,49 +70,37 @@ def _finding(law, window, detail, fn) -> Finding:
 
 
 class AxiomChecker:
-    """Evaluation context for the identity checks: one session, one module
-    (the vacuum module or a twist of it), its own commutator table."""
+    """Evaluation context for the identity checks: one session and one module
+    (the vacuum module or a twist of it).  Commutators and locality orders of
+    vertex operators are the field space's, on :meth:`Session.field_of`
+    handles."""
 
     def __init__(self, session: Session, module=None):
         self.session = session
         self.module = module or session.module
-        self._com = Memo(session.cache_entries)
 
     # -- primitives -------------------------------------------------------------
 
     def vm(self, v, n0, n, w):
         return self.session.vertex_mode(v, n0, n, w, module=self.module)
 
-    def com(self, u, v, a0, a, b0, b, w) -> StateVector:
-        key = (self.module.key, u, v, a0, a, b0, b, w)
-        out = self._com.get(key)
-        if out is None:
-            out = (self.vm(u, a0, a, self.vm(v, b0, b, w))
-                   - self.vm(v, b0, b, self.vm(u, a0, a, w)))
-            self._com.put(key, out)
-        return out
+    def field(self, v):
+        return self.session.field_of(v, self.module)
 
-    # -- weak commutativity --------------------------------------------------------
-
-    def weak_commutativity_witness(self, u, v, k: int, window: ModeWindow):
-        """First window tuple violating (x0-y0)^k [Y(u), Y(v)] = 0, or None."""
-        for (p0, p) in window.modes():
-            for (q0, q) in window.modes():
-                for si, w in enumerate(window.states):
-                    acc = {}
-                    for i in range(k + 1):
-                        c = binom(k, i) * (-1 if i % 2 else 1)
-                        _accumulate(acc, self.com(u, v, p0 + k - i, p, q0 + i, q, w), c)
-                    if acc:
-                        return {"tuple": [p0, list(p), q0, list(q)], "state": si,
-                                "residual": state_to_json(self.session.spec, StateVector(acc))}
-        return None
-
-    def find_commutativity_order(self, u, v, window: ModeWindow, cap: int) -> Optional[int]:
-        for k in range(cap + 1):
-            if self.weak_commutativity_witness(u, v, k, window) is None:
-                return k
-        return None
+    def _product_sum(self, u, v, n, p0, q0, prod, mode) -> dict:
+        """sum_j C(p0, j) Y(u_(n+j) v)(p0+q0-j) w, the product side of the
+        main identity (and with p0 = l of the l-th weak associativity), cut
+        where u_(n+j) v vanishes by degree: ``prod(n0)`` is u_(n0) v and
+        ``mode(x, n0)`` the n0 mode of x's operator on w."""
+        acc = {}
+        hj = v.max_degree() + u.max_degree() - 1 - n
+        if p0 >= 0:
+            hj = min(hj, p0)
+        for j in range(hj + 1):
+            inner = prod(n + j)
+            if inner:
+                _accumulate(acc, mode(inner, p0 + q0 - j), binom(p0, j))
+        return acc
 
     # -- weak associativity ----------------------------------------------------------
 
@@ -120,21 +108,14 @@ class AxiomChecker:
         """Compare both sides of the l-th weak associativity relation on every
         window coefficient (a0, aa, b0, b); w is a fixed module state."""
         sess = self.session
+        A = lambda n0, P, t: self.vm(u, l + n0, P, t)
+        B = functools.partial(self.vm, v)
         for (a0, aa) in window.modes():
             for (b0, b) in window.modes():
-                lhs = {}
-                for j in range(l + 1):
-                    inner = sess.product(u, l - j + a0, aa, v)
-                    if inner:
-                        _accumulate(lhs, self.vm(inner, j + b0, b, w), binom(l, j))
-                rhs = {}
-                baa = mi_sub(b, aa)
+                lhs = self._product_sum(u, v, a0, l, b0, lambda n0: sess.product(u, n0, aa, v),
+                                        lambda x, n0: self.vm(x, n0, b, w))
                 hi = w.max_degree() + v.max_degree() - 1 - b0
-                for i in range(hi + 1):
-                    t = self.vm(v, b0 + i, baa, w)
-                    if t:
-                        c = binom(a0, i) * (-1 if i % 2 else 1)
-                        _accumulate(rhs, self.vm(u, l + a0 - i, aa, t), c)
+                rhs = component_sum(A, aa, B, mi_sub(b, aa), a0, b0, w, hi, -1)
                 if lhs != rhs:
                     return {"tuple": [a0, list(aa), b0, list(b)],
                             "lhs": state_to_json(sess.spec, StateVector(lhs)),
@@ -153,33 +134,14 @@ class AxiomChecker:
         """Difference of the two sides of the main identity at one coefficient
         tuple; zero iff the identity holds there."""
         sess = self.session
-        lhs = {}
-        QP = mi_sub(Q, P)
         hi1 = w.max_degree() + v.max_degree() - 1 - q0
-        if n >= 0:
-            hi1 = min(hi1, n)
-        for i in range(hi1 + 1):
-            t = self.vm(v, q0 + i, QP, w)
-            if t:
-                c = binom(n, i) * (-1 if i % 2 else 1)
-                _accumulate(lhs, self.vm(u, p0 + n - i, P, t), c)
-        sign_n = -1 if n % 2 else 1
         hi2 = w.max_degree() + u.max_degree() - 1 - p0
         if n >= 0:
-            hi2 = min(hi2, n)
-        for i in range(hi2 + 1):
-            t = self.vm(u, p0 + i, P, w)
-            if t:
-                c = -sign_n * binom(n, i) * (-1 if i % 2 else 1)
-                _accumulate(lhs, self.vm(v, q0 + n - i, QP, t), c)
-        rhs = {}
-        hj = v.max_degree() + u.max_degree() - 1 - n
-        if p0 >= 0:
-            hj = min(hj, p0)
-        for j in range(hj + 1):
-            inner = sess.product(u, n + j, P, v)
-            if inner:
-                _accumulate(rhs, self.vm(inner, p0 + q0 - j, Q, w), binom(p0, j))
+            hi1, hi2 = min(hi1, n), min(hi2, n)
+        lhs = component_sum(lambda n0, R, t: self.vm(u, p0 + n0, R, t), P,
+                            functools.partial(self.vm, v), mi_sub(Q, P), n, q0, w, hi1, hi2)
+        rhs = self._product_sum(u, v, n, p0, q0, lambda n0: sess.product(u, n0, P, v),
+                                lambda x, n0: self.vm(x, n0, Q, w))
         return StateVector(lhs) - StateVector(rhs)
 
     # -- skew symmetry -------------------------------------------------------------------
@@ -293,32 +255,15 @@ class AxiomChecker:
         relation.  Returns LHS - RHS."""
         sess = self.session
         O = lambda x, n0, t: sess.ordinary_mode(x, n0, t, module=self.module)
-        lhs = {}
         hi1 = w.max_degree() + v.max_degree() - 1 - q
-        if n >= 0:
-            hi1 = min(hi1, n)
-        for i in range(hi1 + 1):
-            t = O(v, q + i, w)
-            if t:
-                c = binom(n, i) * (-1 if i % 2 else 1)
-                _accumulate(lhs, O(u, p + n - i, t), c)
-        sign_n = -1 if n % 2 else 1
         hi2 = w.max_degree() + u.max_degree() - 1 - p
         if n >= 0:
-            hi2 = min(hi2, n)
-        for i in range(hi2 + 1):
-            t = O(u, p + i, w)
-            if t:
-                c = -sign_n * binom(n, i) * (-1 if i % 2 else 1)
-                _accumulate(lhs, O(v, q + n - i, t), c)
-        rhs = {}
-        hj = v.max_degree() + u.max_degree() - 1 - n
-        if p >= 0:
-            hj = min(hj, p)
-        for j in range(hj + 1):
-            inner = self.session.ordinary_mode(u, n + j, v)  # stays tail-free
-            if inner:
-                _accumulate(rhs, O(inner, p + q - j, w), binom(p, j))
+            hi1, hi2 = min(hi1, n), min(hi2, n)
+        lhs = component_sum(lambda n0, _, t: O(u, p + n0, t), None,
+                            lambda n0, _, t: O(v, n0, t), None, n, q, w, hi1, hi2)
+        rhs = self._product_sum(u, v, n, p, q,
+                                lambda n0: sess.ordinary_mode(u, n0, v),  # stays tail-free
+                                lambda x, n0: O(x, n0, w))
         return StateVector(lhs) - StateVector(rhs)
 
     def ordinary_creation_witness(self, u, window: ModeWindow):
@@ -358,21 +303,17 @@ class AxiomChecker:
     def commutator_slice_witness(self, u, v, window: ModeWindow, samples, rng):
         """[Y(u; x0, m), Y(v; y0, n)] as a finite sum of products at the
         combined toroidal index, on sampled window tuples."""
+        fs, Yu, Yv = self.session.fields, self.field(u), self.field(v)
         tuples = [(p0, p, q0, q) for (p0, p) in window.modes() for (q0, q) in window.modes()]
         rng.shuffle(tuples)
         for (p0, p, q0, q) in tuples[:samples]:
+            pq = mi_add(p, q)
             for si, w in enumerate(window.states):
-                lhs = self.com(u, v, p0, p, q0, q, w)
-                acc = {}
-                hj = v.max_degree() + u.max_degree() - 1
-                if p0 >= 0:
-                    hj = min(hj, p0)
-                for j in range(hj + 1):
-                    inner = self.session.product(u, j, p, v)
-                    if inner:
-                        _accumulate(acc, self.vm(inner, p0 + q0 - j, mi_add(p, q), w),
-                                    binom(p0, j))
-                if lhs != StateVector(acc):
+                lhs = fs.commutator(Yu, Yv, p0, p, q0, q, w)
+                rhs = self._product_sum(u, v, 0, p0, q0,
+                                        lambda n0: self.session.product(u, n0, p, v),
+                                        lambda x, n0: self.vm(x, n0, pq, w))
+                if lhs != StateVector(rhs):
                     return {"tuple": [p0, list(p), q0, list(q)], "state": si}
         return None
 
@@ -382,8 +323,13 @@ class AxiomChecker:
 
 def check_weak_commutativity(checker, u, v, k, window, label="") -> Finding:
     def run():
-        wtn = checker.weak_commutativity_witness(u, v, k, window)
-        return ("pass", None) if wtn is None else ("fail", wtn)
+        fs = checker.session.fields
+        hit = fs.locality_passes_at(checker.field(u), checker.field(v), k, window)
+        if hit is None:
+            return "pass", None
+        p0, p, q0, q, si, residual = hit
+        return "fail", {"tuple": [p0, list(p), q0, list(q)], "state": si,
+                        "residual": state_to_json(checker.session.spec, residual)}
     return _finding("weak commutativity", window, {"k": k, "states": label}, run)
 
 
@@ -400,7 +346,8 @@ def check_jacobi(checker, u, v, w, window, cap=8, rng=None, spot_checks=10, labe
     rng = rng or random.Random(0)
 
     def run():
-        k = checker.find_commutativity_order(u, v, window, cap)
+        k = checker.session.fields.locality_order(checker.field(u), checker.field(v),
+                                                  window, cap)
         if k is None:
             return "cap_exceeded", {"part": "commutativity", "cap": cap}
         l = checker.find_associativity_order(u, v, w, window, cap)
@@ -585,7 +532,10 @@ def _module_findings(session: Session, window: ModeWindow, rng, samples: int,
 
 def mod_act_elem(mod, x: ToroidalElement, w: StateVector) -> StateVector:
     """Loop+centre action through an arbitrary module's act(); the centre is
-    the level scalar."""
+    the level scalar.  Derivation components have no action on these modules
+    and are rejected."""
+    if any(x.der):
+        raise ValueError("derivations do not act on the vacuum-type module")
     out = {}
     for (a, m0, m), c in x.loop.items():
         _accumulate(out, mod.act(a, m0, m, w), c)
@@ -740,43 +690,16 @@ def _transfer_findings(session: Session, window: ModeWindow) -> list:
                 ha, hb = fs.current(a), fs.current(b)
                 ai, bi = session.spec.index_of(a), session.spec.index_of(b)
                 for m in window.m_values():
-                    c0 = _bracket_current(session, ai, bi)
+                    c0 = fs.linear_combination(
+                        [(fs.current(k), c) for k, c in sorted(session.spec.bracket_basis(ai, bi).items())])
                     c1coef = session.level * session.spec.pairing_basis(ai, bi)
-                    coeffs = [c0, _scaled_identity(fs, c1coef)]
+                    coeffs = [c0, fs.linear_combination([(one, c1coef)])]
                     ok, fails = fs.transfer_check(ha, hb, coeffs, m, window)
                     if not ok:
                         return "fail", {"pair": [a, b], "m": list(m), "failures": fails[:3]}
         return "pass", None
     out.append(_finding("commutator-to-product transfer", window, {}, run))
     return out
-
-
-def _bracket_current(session: Session, ai: int, bi: int):
-    """The current of [a, b] as a field handle (finite sum of basis currents)."""
-    fs = session.fields
-    terms = [(k, c) for k, c in sorted(session.spec.bracket_basis(ai, bi).items())]
-
-    from .fields import FieldHandle
-
-    def ev(m0, m, w):
-        out = {}
-        for k, c in terms:
-            _accumulate(out, session.module.act(k, m0, m, w), c)
-        return StateVector(out)
-
-    key = ("bracket-current", ai, bi)
-    label = f"[{session.spec.basis[ai]},{session.spec.basis[bi]}]"
-    return FieldHandle(key, 0, ev, label)
-
-
-def _scaled_identity(fs, coeff: Rational):
-    from .fields import FieldHandle
-    one = fs.identity()
-
-    def ev(m0, m, w):
-        return fs.mode(one, m0, m, w).scaled(coeff)
-
-    return FieldHandle(("scaled-one", str(coeff)), 1, ev, f"{coeff}*1")
 
 
 def _vacuum_ideal_findings(session: Session, window: ModeWindow, depth: int, rng,

@@ -50,10 +50,16 @@ def _group_cache_key(cfg: SessionConfig, spec: LieAlgebraSpec, window_index: int
 
 
 def _load_cache(path):
-    if path and os.path.exists(path):
+    if not path or not os.path.exists(path):
+        return {}
+    try:
         with open(path) as fh:
-            return json.load(fh)
-    return {}
+            cache = json.load(fh)
+        if not isinstance(cache, dict):
+            raise ValueError("not a JSON object")
+    except (OSError, ValueError) as exc:
+        raise SpecFormatError(f"cache {path!r} is not a readable cache file: {exc}") from exc
+    return cache
 
 
 def _save_cache(path, cache):
@@ -287,7 +293,7 @@ def main(argv=None) -> int:
     try:
         cfg = SessionConfig.from_file(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (SpecFormatError, FileNotFoundError, KeyError) as exc:
+    except (SpecFormatError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (LocalityError, TerminationError) as exc:

@@ -6,13 +6,11 @@ field by products and the derivative shifts D0 = d/dx0, Di = x_i d/dx_i.
 Every handle carries an integer t0-degree offset so that the infinite sums in
 the product formula are cut by an exact witness bound, never a tolerance.
 
-The component form of the product of mutually local fields,
-
-    (a_(m0,m) b)(k0, k) w = sum_i (-1)^i C(m0, i) [ a(m0-i, m) b(k0+i, k-m) w
-                            - (-1)^m0 b(m0+k0-i, k-m) a(i, m) w ],
-
-is validated against :func:`residue_oracle_mode`, an independent evaluator
-that materialises truncated series and extracts coefficients generically.
+The product's modes come from :func:`component_sum`, the one evaluator of the
+component (Borcherds) sum, which the vertex operators of states and the axiom
+checks share.  It is validated against :func:`residue_oracle_mode`, an
+independent evaluator that materialises truncated series and extracts
+coefficients generically.
 
 Window checks are sound but window-complete only: a failure disproves an
 identity, a pass certifies it on the window alone.
@@ -20,6 +18,7 @@ identity, a pass certifies it on the window alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -35,6 +34,29 @@ class LocalityError(RuntimeError):
 
 class TerminationError(RuntimeError):
     """A mode sum exceeded the configured hard term bound."""
+
+
+def component_sum(A, P, B, Q, m0: int, k0: int, w: StateVector, hi1: int, hi2: int) -> dict:
+    """The component form of the product of two mutually local operators,
+
+        sum_{i<=hi1} (-1)^i C(m0, i) A(m0-i, P) B(k0+i, Q) w
+        - (-1)^m0 sum_{i<=hi2} (-1)^i C(m0, i) B(m0+k0-i, Q) A(i, P) w,
+
+    for mode maps A, B: (n0, multidegree, state) -> state, each sum cut at
+    the caller's exact witness bound (a bound of -1 drops the sum).  With A
+    and B the modes of fields a and b, P = m and Q = k-m, it is the (k0, k)
+    mode of a_(m0,m) b on w.  Returns the accumulator dict."""
+    acc = {}
+    for i in range(hi1 + 1):
+        t = B(k0 + i, Q, w)
+        if t:
+            _accumulate(acc, A(m0 - i, P, t), binom(m0, i) * (-1 if i % 2 else 1))
+    sign = 1 if m0 % 2 else -1  # -(-1)^m0
+    for i in range(hi2 + 1):
+        t = A(i, P, w)
+        if t:
+            _accumulate(acc, B(m0 + k0 - i, Q, t), sign * binom(m0, i) * (-1 if i % 2 else 1))
+    return acc
 
 
 class ModeWindow:
@@ -124,9 +146,9 @@ class FieldSpace:
     again: ``_mode_cache`` the product modes on (provenance, mode, state), as
     leaves recompute cheaply, until the derivative check moves to its next
     generator pair; ``_comm_cache`` the commutators of the one pair whose
-    locality order is being settled, and ``_first_cache`` their inner
-    applications.  Locality orders go in an unbounded dict, one per handle
-    pair and window.  ``term_bound`` caps the terms of any product-mode sum.
+    locality order is being settled (currents, or vertex operators of states
+    in the Jacobi checks), and ``_first_cache`` their inner applications.
+    Locality orders go in an unbounded dict, one per handle pair and window.  ``term_bound`` caps the terms of any product-mode sum.
     """
 
     def __init__(self, module, term_bound: int = 200_000, cache_entries: int = 200_000):
@@ -163,6 +185,22 @@ class FieldSpace:
             return w if (m0 == -1 and m == zero) else ZERO_STATE
 
         return FieldHandle(("one",), 1, ev, "1")
+
+    def linear_combination(self, terms) -> FieldHandle:
+        """The field sum of c * h over the (handle, coeff) pairs in ``terms``;
+        an empty list gives the zero field."""
+        terms = tuple(terms)
+
+        def ev(m0, m, w):
+            acc = {}
+            for h, c in terms:
+                _accumulate(acc, self.mode(h, m0, m, w), c)
+            return StateVector.adopt(acc)
+
+        off = min((h.t0_offset for h, _ in terms), default=0)
+        key = ("lin",) + tuple((h.key, c) for h, c in terms)
+        label = " + ".join(f"{c}*{h.label}" for h, c in terms) or "0"
+        return FieldHandle(key, off, ev, label)
 
     def derivative(self, i: int, a: FieldHandle) -> FieldHandle:
         """D0 = d/dx0 for i = 0, Di = x_i d/dx_i for 1 <= i <= r, at the mode
@@ -223,30 +261,17 @@ class FieldSpace:
         return h._eval(m0, m, w)
 
     def _product_mode(self, a, m0, m, b, k0, k, w) -> StateVector:
-        km = mi_sub(k, m)
-        acc = {}
         hi1 = self.witness(b, w) - k0
-        if m0 >= 0:
-            hi1 = min(hi1, m0)
         hi2 = self.witness(a, w)
         if m0 >= 0:
-            hi2 = min(hi2, m0)
+            hi1, hi2 = min(hi1, m0), min(hi2, m0)
         if hi1 + hi2 + 2 > self.term_bound:
             raise TerminationError(
                 f"product mode sum for {a.label},{b.label} needs {hi1 + hi2 + 2} terms "
                 f"(bound {self.term_bound}); oracle not restricted enough")
-        sign_m0 = -1 if m0 % 2 else 1
-        for i in range(hi1 + 1):
-            inner = self.mode(b, k0 + i, km, w)
-            if inner:
-                c = binom(m0, i) * (-1 if i % 2 else 1)
-                _accumulate(acc, self.mode(a, m0 - i, m, inner), c)
-        for i in range(hi2 + 1):
-            inner = self.mode(a, i, m, w)
-            if inner:
-                c = -sign_m0 * binom(m0, i) * (-1 if i % 2 else 1)
-                _accumulate(acc, self.mode(b, m0 + k0 - i, km, inner), c)
-        return StateVector.adopt(acc)
+        return StateVector.adopt(component_sum(
+            functools.partial(self.mode, a), m, functools.partial(self.mode, b),
+            mi_sub(k, m), m0, k0, w, hi1, hi2))
 
     # -- locality -----------------------------------------------------------------
 
@@ -269,7 +294,8 @@ class FieldSpace:
 
     def locality_passes_at(self, a, b, k: int, window: ModeWindow):
         """Check (x0-y0)^k [a(x0,x), b(y0,y)] = 0 coefficientwise on the
-        window; returns None or the first offending tuple."""
+        window; returns None or the first offending tuple
+        (p0, p, q0, q, state index, residual)."""
         for (p0, p), (q0, q) in itertools.product(window.modes(), repeat=2):
             for si, w in enumerate(window.states):
                 acc = {}
@@ -277,7 +303,7 @@ class FieldSpace:
                     c = binom(k, i) * (-1 if i % 2 else 1)
                     _accumulate(acc, self.commutator(a, b, p0 + k - i, p, q0 + i, q, w), c)
                 if acc:
-                    return (p0, p, q0, q, si)
+                    return (p0, p, q0, q, si, StateVector.adopt(acc))
         return None
 
     def locality_order(self, a: FieldHandle, b: FieldHandle, window: ModeWindow,
@@ -364,11 +390,8 @@ class FieldSpace:
 
         kept = []
         seen = {}
-        zero_fp = None
         for h in seeds:
             fp = fingerprint(h)
-            if all(s.is_zero() for s in fp):
-                zero_fp = fp
             seen[fp] = h
             kept.append(h)
         frontier = list(kept)

@@ -55,10 +55,6 @@ def mi_sub(m: tuple, n: tuple) -> tuple:
     return tuple(a - b for a, b in zip(m, n))
 
 
-def mi_is_zero(m: tuple) -> bool:
-    return all(a == 0 for a in m)
-
-
 class SpecFormatError(ValueError):
     """Malformed algebra/config input (shape or parse problems)."""
 
@@ -280,11 +276,6 @@ def validate_lie_spec(spec: LieAlgebraSpec) -> LieValidation:
     return LieValidation(True)
 
 
-def bracket_g(spec: LieAlgebraSpec, u: dict, v: dict) -> dict:
-    """Bracket of two sparse g-vectors {index: coeff}."""
-    return spec.bracket(u, v)
-
-
 # ---------------------------------------------------------------------------
 # The multi-loop algebra with centre and derivations.
 
@@ -428,7 +419,7 @@ class ToroidalAlgebra:
                 tot0, tot = m0 + n0, mi_add(m, n)
                 for k, s in self.spec.bracket_basis(a, b).items():
                     add_loop((k, tot0, tot), c * s)
-                if tot0 == 0 and mi_is_zero(tot):
+                if tot0 == 0 and not any(tot):
                     central += c * m0 * self.spec.pairing_basis(a, b) * self.cocycle_scale
         # derivations act as [d0, a(m0,m)] = -m0 a(m0-1, m),
         # [di, a(m0,m)] = -m_i a(m0,m); they commute with each other and c

@@ -51,17 +51,6 @@ def expand_minus_y_plus_x(n: int, max_x: int) -> dict:
     return out
 
 
-def expand_z_plus_y(n: int, max_y: int) -> dict:
-    """(z + y)^n in nonnegative powers of y; keys are (z-exp, y-exp)."""
-    out = {}
-    hi = min(n, max_y) if n >= 0 else max_y
-    for i in range(hi + 1):
-        c = binom(n, i)
-        if c:
-            out[(n - i, i)] = c
-    return out
-
-
 def series_multiply(binomial: dict, table: dict) -> dict:
     """Multiply an exponent->scalar binomial expansion against a bivariate
     exponent->value table; values only need + and scalar *."""

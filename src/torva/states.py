@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .liecore import (LieAlgebraSpec, Scalar, SpecFormatError, ToroidalAlgebra,
-                      ToroidalElement, frac, mi_add)
+                      frac, mi_add)
 
 _ZERO = 0
 _ONE = 1
@@ -384,20 +384,6 @@ class VacuumModule:
             result = StateVector.adopt(out)
         self._act_cache.put(key, result)
         return result
-
-    def act_elem(self, x: ToroidalElement, state: StateVector) -> StateVector:
-        """Action of a loop+centre element (centre acts as the level).
-
-        Derivation components have no action on this module and are rejected.
-        """
-        if any(x.der):
-            raise ValueError("derivations do not act on the vacuum-type module")
-        out = {}
-        for (a, m0, m), c in x.loop.items():
-            _accumulate(out, self.act(a, m0, m, state), c)
-        if x.central:
-            _accumulate(out, state, x.central * self.level)
-        return StateVector(out)
 
 
 class ShiftedModule:

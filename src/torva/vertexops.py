@@ -2,11 +2,12 @@
 
 The multi-variable vertex operator attached to a state is computed by
 recursion on its word: peel the leftmost creation mode and apply the
-component product formula with the generator current on the left.  The
-recursion never materialises series; all sums are cut exactly by the degree
-witnesses.  States and fields are kept strictly apart: the state-field map
-need not be injective, so equality of states is never inferred from equality
-of mode tables.
+component product formula (:func:`fields.component_sum`) with the generator
+current on the left.  The recursion never materialises series; all sums are
+cut exactly by the degree witnesses.  States and fields are kept strictly
+apart: the state-field map need not be injective, so equality of states is
+never inferred from equality of mode tables; :meth:`Session.field_of` wraps
+a state's vertex operator as a field handle keyed by the state itself.
 
 Also here: the left ideal generated by the cyclic vector (every tail-free
 state), its reduced-echelon basis and graded dimensions, and the ordinary
@@ -17,14 +18,14 @@ a single toroidal degree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .fields import FieldSpace, ModeWindow
+from .fields import FieldHandle, FieldSpace, ModeWindow, component_sum
 from .liecore import (LieAlgebraSpec, Scalar, SpecFormatError, ToroidalAlgebra,
                       frac, mi_sub, mi_zero)
-from .series import binom
 from .states import (Memo, PBWMonomial, StateVector, VACUUM_MONO,
                      VacuumModule, ZERO_STATE, _accumulate, state_from_json)
 
@@ -153,23 +154,11 @@ class Session:
         else:
             (k1, a, m1) = mono.word[0]
             rest = PBWMonomial(mono.word[1:], mono.tail)
-            m0 = -k1
-            nm = mi_sub(n, m1)
-            acc = {}
             wdeg = w.max_degree()
-            hi1 = wdeg + rest.degree - 1 - n0
-            for i in range(hi1 + 1):
-                t = self._vm_mono(mod, rest, n0 + i, nm, w)
-                if t:
-                    c = binom(m0, i) * (-1 if i % 2 else 1)
-                    _accumulate(acc, mod.act(a, m0 - i, m1, t), c)
-            sign_m0 = -1 if m0 % 2 else 1
-            for i in range(wdeg + 1):
-                t = mod.act(a, i, m1, w)
-                if t:
-                    c = -sign_m0 * binom(m0, i) * (-1 if i % 2 else 1)
-                    _accumulate(acc, self._vm_mono(mod, rest, m0 + n0 - i, nm, t), c)
-            result = StateVector.adopt(acc)
+            result = StateVector.adopt(component_sum(
+                functools.partial(mod.act, a), m1,
+                functools.partial(self._vm_mono, mod, rest), mi_sub(n, m1),
+                -k1, n0, w, wdeg + rest.degree - 1 - n0, wdeg))
         self._vm_cache.put(key, result)
         return result
 
@@ -177,10 +166,14 @@ class Session:
         """The algebra product u_(m0, m) v inside the vacuum module."""
         return self.vertex_mode(u, m0, tuple(m), v)
 
-    def field_witness(self, v, w: StateVector) -> int:
-        """vertex_mode(v, n0, ., w) = 0 for all n0 beyond this bound."""
-        vdeg = v.max_degree() if isinstance(v, StateVector) else v.degree
-        return w.max_degree() + vdeg - 1
+    def field_of(self, v: StateVector, module=None) -> FieldHandle:
+        """The vertex operator of v on a restricted module (default: the
+        vacuum module) as a field handle.  Its offset 1 - deg v gives the
+        witness bound of :meth:`_vm_mono`; its label is constant, as
+        rendering a state sorts every term."""
+        mod = module or self.module
+        return FieldHandle(("Y", mod.key, v), 1 - v.max_degree(),
+                           functools.partial(self.vertex_mode, v, module=mod), "Y(state)")
 
     # -- creation property -------------------------------------------------------
 
@@ -289,10 +282,6 @@ class Session:
         return VacuumIdeal.from_spanning(self, states)
 
 
-def _mono_order(mono: PBWMonomial):
-    return mono.sort_key()
-
-
 def echelonize(states: Sequence[StateVector]):
     """Reduced row echelon form over Q of a list of states, for the monomial
     order ``PBWMonomial.sort_key``: the pivot rows as StateVectors (pivot
@@ -307,7 +296,7 @@ def echelonize(states: Sequence[StateVector]):
     for st in states:
         row = dict(st.terms)
         while row:
-            lead = min(row, key=_mono_order)
+            lead = min(row, key=PBWMonomial.sort_key)
             pivot = pivots.get(lead)
             if pivot is None:
                 if row[lead] != 1:  # a unit lead is kept, so integer rows stay integer
@@ -316,7 +305,7 @@ def echelonize(states: Sequence[StateVector]):
                 pivots[lead] = row
                 break
             _subtract(row, row.pop(lead), pivot, lead)
-    leads = sorted(pivots, key=_mono_order)
+    leads = sorted(pivots, key=PBWMonomial.sort_key)
     reduced = {}  # leading monomial -> fully reduced row
     for lead in reversed(leads):
         row = pivots[lead]
@@ -353,7 +342,7 @@ class VacuumIdeal:
     by_lead: dict = field(init=False, repr=False)  # leading monomial -> basis row
 
     def __post_init__(self):
-        self.by_lead = {min(b.terms, key=_mono_order): b for b in self.basis}
+        self.by_lead = {min(b.terms, key=PBWMonomial.sort_key): b for b in self.basis}
 
     @classmethod
     def from_spanning(cls, session: Session, states) -> "VacuumIdeal":
@@ -367,7 +356,7 @@ class VacuumIdeal:
         """Exact membership in the echelon span."""
         row = dict(state.terms)
         while row:
-            lead = min(row, key=_mono_order)
+            lead = min(row, key=PBWMonomial.sort_key)
             b = self.by_lead.get(lead)
             if b is None:
                 return False

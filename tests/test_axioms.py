@@ -13,6 +13,7 @@ import pytest
 from torva import ModeWindow, Session, SessionConfig, run_mutation_suite, run_suite
 from torva.axioms import (AxiomChecker, _derivative_findings, _vacuum_ideal_findings,
                           check_jacobi, check_skew_symmetry, check_vacuum_expansion,
+                          check_weak_commutativity,
                           mutation_catalog, sample_state)
 
 from conftest import CONFIG_DIR, abelian_spec, sl2_spec, small_window
@@ -33,18 +34,19 @@ def ch(s):
     return AxiomChecker(s)
 
 
-def test_weak_commutativity_order_two(s, ch, win):
-    e, f = s.tail("e"), s.tail("f")
-    assert ch.weak_commutativity_witness(e, f, 2, win) is None
-    assert ch.weak_commutativity_witness(e, f, 3, win) is None
-    wtn = ch.weak_commutativity_witness(e, f, 1, win)
+def test_weak_commutativity_order_two(s, win):
+    fs = s.fields
+    e, f = s.field_of(s.tail("e")), s.field_of(s.tail("f"))
+    assert fs.locality_passes_at(e, f, 2, win) is None
+    assert fs.locality_passes_at(e, f, 3, win) is None
+    wtn = fs.locality_passes_at(e, f, 1, win)
     assert wtn is not None  # the derivative-of-delta term survives at level 1
-    assert ch.find_commutativity_order(e, f, win, 8) == 2
+    assert fs.locality_order(e, f, win, 8) == 2
 
 
-def test_weak_commutativity_identity_trivial(s, ch, win):
-    one = s.vacuum()
-    assert ch.weak_commutativity_witness(one, s.tail("h"), 0, win) is None
+def test_weak_commutativity_identity_trivial(s, win):
+    one = s.field_of(s.vacuum())
+    assert s.fields.locality_passes_at(one, s.field_of(s.tail("h")), 0, win) is None
 
 
 def test_weak_associativity_on_cyclic_vector(s, ch, win):
@@ -121,14 +123,13 @@ def test_jacobi_coefficient_form_consistency(s, ch, win):
 def test_jacobi_cross_level_mismatch_detected(s, win):
     # one side computed at level 2: the coefficient identity must break
     other = Session(sl2_spec(), 1, 2)
-    ch1, ch2 = AxiomChecker(s), AxiomChecker(other)
     u, v = s.tail("e"), s.tail("f")
     w = s.vacuum()
     found = False
     for (p0, P) in win.modes():
         for (q0, Q) in win.modes():
-            lhs = ch1.com(u, v, p0, P, q0, Q, w)
-            rhs = ch2.com(u, v, p0, P, q0, Q, w)
+            lhs = s.fields.commutator(s.field_of(u), s.field_of(v), p0, P, q0, Q, w)
+            rhs = other.fields.commutator(other.field_of(u), other.field_of(v), p0, P, q0, Q, w)
             if lhs != rhs:
                 found = True
                 break
@@ -200,10 +201,10 @@ def test_run_suite_subset(s, win):
 
 def test_checker_memo_follows_session_cap():
     off = Session(sl2_spec(), 1, 1, cache_entries=0)
-    ch = AxiomChecker(off)
+    fs = off.fields
     win = small_window(off)
-    assert ch.find_commutativity_order(off.tail("e"), off.tail("f"), win, 8) == 2
-    assert len(ch._com) == 0
+    assert fs.locality_order(off.field_of(off.tail("e")), off.field_of(off.tail("f")), win, 8) == 2
+    assert len(fs._comm_cache) == 0 and fs._comm_cache.hits == 0
 
 
 def test_cache_cap_never_changes_a_report():
@@ -359,3 +360,11 @@ def test_sample_state_small(s, win):
         st = sample_state(s, rng, win)
         assert not st.is_zero()
         assert st.max_degree() <= 2 * 2 + 1
+
+
+def test_check_weak_commutativity_reports_the_residual(s, ch, win):
+    e, f = s.tail("e"), s.tail("f")
+    assert check_weak_commutativity(ch, e, f, 2, win).ok
+    fnd = check_weak_commutativity(ch, e, f, 1, win)
+    assert fnd.status == "fail"
+    assert set(fnd.witness) == {"tuple", "state", "residual"} and fnd.witness["residual"]

@@ -240,3 +240,22 @@ def test_report_on_a_config_or_directory_exit_2(cfg, path):
     assert out.returncode == 2, out.stderr
     assert "overall" not in out.stdout
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("case", ["cache-not-json", "cache-list", "cache-directory",
+                                  "axioms-out-directory", "v0-out-directory"])
+def test_bad_cache_or_out_path_exit_2(cfg, tmp_path, case):
+    cache = tmp_path / "cache.json"
+    if case == "cache-not-json":
+        cache.write_text("{nope")
+    elif case == "cache-list":
+        cache.write_text("[1, 2]")
+    args = {"cache-not-json": ["--cache", str(cache), "axioms"],
+            "cache-list": ["--cache", str(cache), "axioms"],
+            "cache-directory": ["--cache", str(tmp_path), "axioms"],
+            "axioms-out-directory": ["axioms", "--out", str(tmp_path)],
+            "v0-out-directory": ["v0", "--out", str(tmp_path)]}[case]
+    out = run_cli(["--config", cfg, *args])
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr

@@ -245,14 +245,13 @@ def test_derivative_product_shifts(s, win):
 
 
 def test_transfer_check_pass_and_fail(s, win):
-    from torva.axioms import _bracket_current, _scaled_identity
     fs = s.fields
     a, b = fs.current("e"), fs.current("f")
-    c0 = _bracket_current(s, 0, 1)
-    c1 = _scaled_identity(fs, Fraction(1))   # level * <e,f> = 1
+    c0 = fs.linear_combination([(fs.current("h"), 1)])   # [e,f] = h
+    c1 = fs.linear_combination([(fs.identity(), Fraction(1))])   # level * <e,f> = 1
     ok, fails = fs.transfer_check(a, b, [c0, c1], (0,), win)
     assert ok, fails
-    wrong = _scaled_identity(fs, Fraction(2))
+    wrong = fs.linear_combination([(fs.identity(), Fraction(2))])
     ok, fails = fs.transfer_check(a, b, [c0, wrong], (0,), win)
     assert not ok
     assert all(f["j"] == 1 for f in fails)

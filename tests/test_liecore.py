@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torva import (LieAlgebraSpec, SpecFormatError, ToroidalAlgebra,
-                   ToroidalElement, bracket_g, validate_lie_spec)
+                   ToroidalElement, validate_lie_spec)
 from torva.liecore import frac
 
 from conftest import abelian_spec, sl2_spec
@@ -61,14 +61,14 @@ def test_form_shape_checked():
         LieAlgebraSpec(["a", "b"], {}, [[0]])
 
 
-def test_bracket_g_table():
+def test_spec_bracket_table():
     spec = sl2_spec()
     e, f, h = ({0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)})
-    assert bracket_g(spec, e, f) == {2: Fraction(1)}
-    assert bracket_g(spec, e, e) == {}
+    assert spec.bracket(e, f) == {2: Fraction(1)}
+    assert spec.bracket(e, e) == {}
     # [h, e+f] = 2e - 2f
     ef = {0: Fraction(1), 1: Fraction(1)}
-    assert bracket_g(spec, h, ef) == {0: Fraction(2), 1: Fraction(-2)}
+    assert spec.bracket(h, ef) == {0: Fraction(2), 1: Fraction(-2)}
 
 
 def test_pairing():

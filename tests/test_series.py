@@ -2,8 +2,7 @@
 
 import math
 
-from torva.series import (binom, expand_minus_y_plus_x, expand_x_minus_y,
-                          expand_z_plus_y)
+from torva.series import binom, expand_minus_y_plus_x, expand_x_minus_y
 
 
 def test_binom_matches_comb_for_nonnegative():
@@ -47,11 +46,6 @@ def test_two_expansions_agree_on_polynomials():
         a = expand_x_minus_y(n, 10)
         b = expand_minus_y_plus_x(n, 10)
         assert a == b
-
-
-def test_z_plus_y():
-    assert expand_z_plus_y(2, 10) == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    assert expand_z_plus_y(-1, 2) == {(-1, 0): 1, (-2, 1): -1, (-3, 2): 1}
 
 
 def test_formal_inverse():

@@ -144,7 +144,7 @@ def test_oracle_only_tower_matches_vertex_modes(s, win):
 def test_vertex_mode_restrictedness(s):
     w = s.parse_state("e(-1;0) f(-1;1) vac")
     u = s.parse_state("h(-2;0) vac")
-    hi = s.field_witness(u, w)
+    hi = w.max_degree() + u.max_degree() - 1  # vertex_mode(u, n0, ., w) = 0 beyond
     for n0 in range(hi + 1, hi + 4):
         for n in [(-1,), (0,), (1,)]:
             assert s.vertex_mode(u, n0, n, w).is_zero()
