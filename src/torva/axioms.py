@@ -210,7 +210,7 @@ class AxiomChecker:
 
     # -- vacuum expansion trio ----------------------------------------------------------
 
-    def vacuum_expansion_witness(self, u, window: ModeWindow, shift_orders=(0, 1, 2)):
+    def vacuum_expansion_witness(self, u, window: ModeWindow):
         """Three facts about products against the cyclic vector: annihilation
         products vanish as states; the creation products reproduce derivative
         shifts of the operator of u at a single toroidal degree; and the
@@ -223,7 +223,7 @@ class AxiomChecker:
                 if st:
                     return {"part": "annihilation-product", "mode": [k0, list(m)],
                             "value": state_to_json(sess.spec, st)}
-        for k in shift_orders:
+        for k in (0, 1, 2):
             for m in window.m_values():
                 st = sess.product(u, -k - 1, m, vac)
                 for (n0, n) in window.modes():
@@ -333,17 +333,11 @@ def check_weak_commutativity(checker, u, v, k, window, label="") -> Finding:
     return _finding("weak commutativity", window, {"k": k, "states": label}, run)
 
 
-def check_weak_associativity(checker, u, v, w, l, window, label="") -> Finding:
-    def run():
-        wtn = checker.weak_associativity_witness(u, v, w, l, window)
-        return ("pass", None) if wtn is None else ("fail", wtn)
-    return _finding("weak associativity", window, {"l": l, "states": label}, run)
-
-
-def check_jacobi(checker, u, v, w, window, cap=8, rng=None, spot_checks=10, label="") -> Finding:
+def check_jacobi(checker, u, v, w, window, rng=None, spot_checks=10, label="") -> Finding:
     """Main identity via its two finite halves, with exponents found by
-    upward search, plus randomized single-identity coefficient spot checks."""
+    upward search up to 8, plus randomized coefficient-form spot checks."""
     rng = rng or random.Random(0)
+    cap = 8
 
     def run():
         k = checker.session.fields.locality_order(checker.field(u), checker.field(v),
@@ -400,18 +394,17 @@ def check_creation(session, v, window, label="") -> Finding:
 # ---------------------------------------------------------------------------
 # Random sampling of states.
 
-def sample_state(session: Session, rng: random.Random, window: ModeWindow,
-                 max_word: int = 2, max_k: int = 2, tails=True) -> StateVector:
+def sample_state(session: Session, rng: random.Random, window: ModeWindow) -> StateVector:
     """A random nonzero state of small degree with modes inside the window box."""
     for _ in range(50):
         word = []
-        for _ in range(rng.randrange(0, max_word + 1)):
-            k = rng.randrange(1, max_k + 1)
+        for _ in range(rng.randrange(0, 3)):
+            k = rng.randrange(1, 3)
             a = rng.randrange(session.spec.dim)
             m = tuple(rng.randrange(lo, hi + 1) for lo, hi in window.m_box)
             word.append((k, a, m))
         tail = None
-        if tails and rng.random() < 0.4:
+        if rng.random() < 0.4:
             tail = session.spec.basis[rng.randrange(session.spec.dim)]
         st = session.monomial(word, tail)
         if st:
@@ -496,8 +489,8 @@ def _module_findings(session: Session, window: ModeWindow, rng, samples: int,
         for t in range(samples):
             x, y = sample_toroidal(session, rng, 2), sample_toroidal(session, rng, 2)
             w = sample_state(session, rng, window)
-            lhs = mod_act_elem(mod, x, mod_act_elem(mod, y, w)) - mod_act_elem(mod, y, mod_act_elem(mod, x, w))
-            rhs = mod_act_elem(mod, session.algebra.bracket(x, y), w)
+            lhs = mod.act_elem(x, mod.act_elem(y, w)) - mod.act_elem(y, mod.act_elem(x, w))
+            rhs = mod.act_elem(session.algebra.bracket(x, y), w)
             if lhs != rhs:
                 return "fail", {"pair": [repr(x), repr(y)],
                                 "state": state_to_json(session.spec, w)}
@@ -528,20 +521,6 @@ def _module_findings(session: Session, window: ModeWindow, rng, samples: int,
         return "pass", None
     out.append(_finding("restrictedness witness", window, {"states": tag}, run_restricted))
     return out
-
-
-def mod_act_elem(mod, x: ToroidalElement, w: StateVector) -> StateVector:
-    """Loop+centre action through an arbitrary module's act(); the centre is
-    the level scalar.  Derivation components have no action on these modules
-    and are rejected."""
-    if any(x.der):
-        raise ValueError("derivations do not act on the vacuum-type module")
-    out = {}
-    for (a, m0, m), c in x.loop.items():
-        _accumulate(out, mod.act(a, m0, m, w), c)
-    if x.central:
-        _accumulate(out, w, x.central * mod.level)
-    return StateVector(out)
 
 
 def _product_table_findings(session: Session, window: ModeWindow,
@@ -702,16 +681,16 @@ def _transfer_findings(session: Session, window: ModeWindow) -> list:
     return out
 
 
-def _vacuum_ideal_findings(session: Session, window: ModeWindow, depth: int, rng,
+def _vacuum_ideal_findings(session: Session, window: ModeWindow, rng,
                            ideal_holder: Optional[dict] = None) -> list:
-    """Findings on the vacuum ideal.  The ideal built by the first check is
-    stored under ``"ideal"`` in ``ideal_holder``, which a caller may pass in
-    to reuse it."""
+    """Findings on the vacuum ideal, built to the window's depth.  The ideal
+    built by the first check is stored under ``"ideal"`` in
+    ``ideal_holder``, which a caller may pass in to reuse it."""
     out = []
     ideal_holder = {} if ideal_holder is None else ideal_holder
 
     def run_dims():
-        ideal = session.build_vacuum_ideal(depth, window)
+        ideal = session.build_vacuum_ideal(window.depth, window)
         ideal_holder["ideal"] = ideal
         if not ideal.tail_free():
             return "fail", {"part": "tails leaked into the ideal"}
@@ -720,13 +699,13 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, depth: int, rng
         for lo, hi in window.m_box:
             box *= hi - lo + 1
         counts = loop_affine_graded_dims(
-            lambda k: session.spec.dim * box if k <= kmax else 0, depth)
-        got = {d: ideal.graded_dims.get(d, 0) for d in range(depth + 1)}
-        want = {d: counts[d] for d in range(depth + 1)}
+            lambda k: session.spec.dim * box if k <= kmax else 0, window.depth)
+        got = {d: ideal.graded_dims.get(d, 0) for d in range(window.depth + 1)}
+        want = {d: counts[d] for d in range(window.depth + 1)}
         if got != want:
             return "fail", {"got": got, "want": want}
         return "pass", None
-    out.append(_finding("vacuum-ideal graded dimensions", window, {"depth": depth}, run_dims))
+    out.append(_finding("vacuum-ideal graded dimensions", window, {"depth": window.depth}, run_dims))
 
     def run_affine_commutator():
         """One-variable modes of depth-1 ideal states satisfy the affinisation
@@ -850,15 +829,9 @@ CHECK_GROUPS = ("lie", "module", "table", "locality", "oracle", "derivative",
 
 
 def run_suite(session: Session, window: ModeWindow, seed: int = 0,
-              checks: Optional[Sequence[str]] = None, caps: int = 8,
-              samples: int = 20, depth: int = 2,
-              expect_session: Optional[Session] = None) -> SuiteReport:
-    """Execute the configured checks over one window and aggregate findings.
-
-    ``checks`` selects groups by name (default: all).  ``expect_session``
-    supplies pristine closed-form expectations when the acting session is a
-    deliberate mutation.
-    """
+              checks: Optional[Sequence[str]] = None, samples: int = 20) -> SuiteReport:
+    """Run the check groups named in ``checks`` (default: all) over one window
+    and aggregate their findings; the vacuum ideal is built to ``window.depth``."""
     selected = set(CHECK_GROUPS if checks is None else checks)
     unknown = selected - set(CHECK_GROUPS)
     if unknown:
@@ -875,7 +848,7 @@ def run_suite(session: Session, window: ModeWindow, seed: int = 0,
     if "module" in selected:
         tasks.append(lambda: _module_findings(session, window, group_rng("module"), samples))
     if "table" in selected:
-        tasks.append(lambda: _product_table_findings(session, window, expect_session))
+        tasks.append(lambda: _product_table_findings(session, window))
     if "locality" in selected:
         tasks.append(lambda: _locality_findings(session, window))
     if "oracle" in selected:
@@ -893,13 +866,13 @@ def run_suite(session: Session, window: ModeWindow, seed: int = 0,
             for la, u in gens:
                 for lb, v in gens:
                     for lc, w in gens:
-                        out.append(check_jacobi(checker, u, v, w, window, cap=caps,
+                        out.append(check_jacobi(checker, u, v, w, window,
                                                 rng=rng, label=f"({la},{lb},{lc})"))
             for t in range(max(2, samples // 4)):
                 u = sample_state(session, rng, window)
                 v = sample_state(session, rng, window)
                 w = sample_state(session, rng, window)
-                out.append(check_jacobi(checker, u, v, w, window, cap=caps, rng=rng,
+                out.append(check_jacobi(checker, u, v, w, window, rng=rng,
                                         label=f"random#{t}"))
             out.append(_finding("mixed-index commutator", window, {},
                                 lambda: (("pass", None)
@@ -932,7 +905,7 @@ def run_suite(session: Session, window: ModeWindow, seed: int = 0,
             return out
         tasks.append(vacuum_tasks)
     if "ideal" in selected:
-        tasks.append(lambda: _vacuum_ideal_findings(session, window, depth, group_rng("ideal")))
+        tasks.append(lambda: _vacuum_ideal_findings(session, window, group_rng("ideal")))
     if "module-variant" in selected:
         def variant_tasks():
             rng = group_rng("module-variant")
@@ -943,7 +916,7 @@ def run_suite(session: Session, window: ModeWindow, seed: int = 0,
             checker = AxiomChecker(session, module=mod)
             gens = [session.tail(b) for b in session.spec.basis]
             out.append(check_jacobi(checker, gens[0], gens[-1], gens[0], window,
-                                    cap=caps, rng=rng, label="shifted module"))
+                                    rng=rng, label="shifted module"))
             return out
         tasks.append(variant_tasks)
 

@@ -78,6 +78,15 @@ def _estimate_cost(cfg: SessionConfig, windows) -> int:
     return sum(w.size * w.size * len(w.states) * groups for w in windows)
 
 
+def _out_path(cfg: SessionConfig, args):
+    """``--out`` or the config's ``output`` (or None), refused before the run
+    when it is a directory or its directory is missing; nothing is written."""
+    path = args.out or (cfg.resolve(cfg.output) if cfg.output else None)
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+        raise SpecFormatError(f"report path {path!r} is a directory or has no parent directory")
+    return path
+
+
 def _emit_report(report: SuiteReport, path, quiet=False):
     if path:
         with open(path, "w") as fh:
@@ -148,6 +157,7 @@ def cmd_locality(cfg: SessionConfig, args) -> int:
 
 
 def cmd_axioms(cfg: SessionConfig, args) -> int:
+    out = _out_path(cfg, args)
     session = cfg.build_session()
     windows = cfg.build_windows(session)
     cost = _estimate_cost(cfg, windows)
@@ -159,7 +169,7 @@ def cmd_axioms(cfg: SessionConfig, args) -> int:
     if args.mutate:
         report = run_mutation_suite(session, windows[0], seed=cfg.seed)
         report.config_digest = _digest(cfg.digest_payload())
-        _emit_report(report, args.out or (cfg.resolve(cfg.output) if cfg.output else None))
+        _emit_report(report, out)
         return EXIT_PASS if report.ok else EXIT_MATH_FAIL
     cache = _load_cache(args.cache)
     findings = []
@@ -170,13 +180,12 @@ def cmd_axioms(cfg: SessionConfig, args) -> int:
             if key in cache:
                 findings.extend(_findings_from_json(cache[key]))
                 continue
-            part = run_suite(session, win, seed=cfg.seed, checks=[group],
-                             samples=cfg.samples, depth=win.depth)
+            part = run_suite(session, win, seed=cfg.seed, checks=[group], samples=cfg.samples)
             cache[key] = [f.to_json() for f in part.findings]
             findings.extend(part.findings)
     _save_cache(args.cache, cache)
     report = SuiteReport(findings, config_digest=_digest(cfg.digest_payload()))
-    _emit_report(report, args.out or (cfg.resolve(cfg.output) if cfg.output else None))
+    _emit_report(report, out)
     if not report.ok:
         return EXIT_MATH_FAIL
     if report.cap_exceeded:
@@ -187,10 +196,11 @@ def cmd_axioms(cfg: SessionConfig, args) -> int:
 
 def cmd_v0(cfg: SessionConfig, args) -> int:
     import random
+    out = _out_path(cfg, args)
     session = cfg.build_session()
     win = cfg.build_windows(session)[0]
     holder = {}
-    findings = _vacuum_ideal_findings(session, win, win.depth, random.Random(cfg.seed), holder)
+    findings = _vacuum_ideal_findings(session, win, random.Random(cfg.seed), holder)
     report = SuiteReport(findings, config_digest=_digest(cfg.digest_payload()))
     ideal = holder["ideal"]
     payload = report.to_json()
@@ -198,7 +208,6 @@ def cmd_v0(cfg: SessionConfig, args) -> int:
     payload["basis_size"] = len(ideal.basis)
     if len(ideal.spanning) <= 200:
         payload["spanning"] = [label for _, label in ideal.spanning]
-    out = args.out or (cfg.resolve(cfg.output) if cfg.output else None)
     if out:
         with open(out, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)

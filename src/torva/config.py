@@ -41,9 +41,6 @@ def _integer(name: str, value) -> int:
         raise SpecFormatError(f"config field {name!r} must be an integer, got {value!r}") from exc
 
 
-DEFAULT_WINDOW = {"m0": [-2, 2], "m": None, "states": ["vac"], "locality_bound": 8, "depth": 2}
-
-
 @dataclass
 class SessionConfig:
     algebra_path: str
@@ -86,7 +83,7 @@ class SessionConfig:
             frac(level)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecFormatError(f"level {level!r} is not a rational") from exc
-        windows = data.get("windows") or [dict(DEFAULT_WINDOW)]
+        windows = data.get("windows") or [{}]
         if not isinstance(windows, list) or not windows:
             raise SpecFormatError("'windows' must be a nonempty list")
         cache = data.get("cache", {})

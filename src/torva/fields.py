@@ -60,11 +60,11 @@ def component_sum(A, P, B, Q, m0: int, k0: int, w: StateVector, hi1: int, hi2: i
 
 
 class ModeWindow:
-    """A finite box of toroidal mode indices plus the test states against
-    which identities are checked coefficientwise."""
+    """A finite box of toroidal mode indices, the test states against which
+    identities are checked coefficientwise, and the vacuum-ideal depth."""
 
     def __init__(self, m0_range, m_box, states: Sequence[StateVector],
-                 locality_bound: int = 8, depth: int = 1):
+                 locality_bound: int = 8, depth: int = 2):
         try:
             self.m0_lo, self.m0_hi = int(m0_range[0]), int(m0_range[1])
             self.m_box = tuple((int(lo), int(hi)) for lo, hi in m_box)
@@ -428,14 +428,14 @@ class FieldSpace:
     # -- bracket-to-product transfer ------------------------------------------------------
 
     def transfer_check(self, a: FieldHandle, b: FieldHandle, coeffs: Sequence[FieldHandle],
-                       m, window: ModeWindow, extra: int = 2):
+                       m, window: ModeWindow):
         """Verify that the products a_(j,m) b equal the supplied commutator
-        expansion coefficients for j = 0..k and vanish for the next ``extra``
+        expansion coefficients for j = 0..k and vanish for the next two
         values of j.  Returns (ok, failures)."""
         m = tuple(m)
         failures = []
         k = len(coeffs) - 1
-        for j in range(k + 1 + extra):
+        for j in range(k + 3):
             prod = self.product(a, j, m, b, window=window)
             want = coeffs[j] if j <= k else None
             for (n0, n) in window.modes():

@@ -11,9 +11,10 @@ lexicographic.  Reordering two creation modes emits a single shorter
 correction word (their bracket; no central term can arise between two
 creation modes), so normalisation terminates.
 
-Mode action and normal ordering live on :class:`VacuumModule`; results are
-memoised in :class:`Memo` tables because closure generation revisits the same
-states heavily.  Degrees are read off the states themselves
+:class:`Module` is the one module protocol.  Mode action and normal ordering
+live on :class:`VacuumModule`, which :class:`ShiftedModule` twists; results
+are memoised in :class:`Memo` tables because closure generation revisits the
+same states heavily.  Degrees are read off the states themselves
 (:meth:`StateVector.max_degree`): the grading gives a(n0, n) . w = 0 for every
 n0 beyond the top degree of w.  Monomials are interned, so equal monomials
 are one object and memo lookups on them hit on identity.
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .liecore import (LieAlgebraSpec, Scalar, SpecFormatError, ToroidalAlgebra,
-                      frac, mi_add)
+                      ToroidalElement, frac, mi_add)
 
 _ZERO = 0
 _ONE = 1
@@ -234,7 +235,41 @@ class Memo:
         return len(self._data)
 
 
-class VacuumModule:
+class Module:
+    """A restricted module at one level.  A subclass supplies ``act_index``,
+    :meth:`act` without its checks; ``key`` names it in cache keys."""
+
+    def __init__(self, algebra: ToroidalAlgebra, level: Scalar, key: str):
+        self.algebra = algebra
+        self.spec = algebra.spec
+        self.r = algebra.r
+        self.level = frac(level)
+        self.key = key
+
+    def act(self, a, n0: int, n, state: StateVector) -> StateVector:
+        """Apply the mode a(n0, n) to a state; exact.  For external callers:
+        ``a`` (a label or index) and the rank of ``n`` (any sequence) are
+        checked, and raise :class:`SpecFormatError`."""
+        a = self.spec.index_of(a)
+        n = tuple(n)
+        if len(n) != self.r:
+            raise SpecFormatError(f"multidegree {n} has rank {len(n)}, expected {self.r}")
+        return self.act_index(a, n0, n, state)
+
+    def act_elem(self, x: ToroidalElement, w: StateVector) -> StateVector:
+        """Loop+centre action of x, the centre as the level scalar; a
+        derivation component does not act and is rejected."""
+        if any(x.der):
+            raise ValueError("derivations do not act on the vacuum-type module")
+        out = {}
+        for (a, m0, m), c in x.loop.items():
+            _accumulate(out, self.act(a, m0, m, w), c)
+        if x.central:
+            _accumulate(out, w, x.central * self.level)
+        return StateVector(out)
+
+
+class VacuumModule(Module):
     """Level-ell vacuum-type module of the multi-loop algebra.
 
     The central element acts as the scalar ``level``.  Annihilation modes
@@ -247,15 +282,10 @@ class VacuumModule:
     """
 
     def __init__(self, algebra: ToroidalAlgebra, level: Scalar, cache_entries: int = 200_000):
-        self.algebra = algebra
-        self.spec = algebra.spec
-        self.r = algebra.r
-        self.level = frac(level)
+        # a plain string key hashes much faster than a tuple holding a Fraction
+        super().__init__(algebra, level, f"vacuum({frac(level)})")
         self._act_cache = Memo(cache_entries)
         self._word_cache = Memo(cache_entries)
-        # cache keys embed this; a plain string hashes much faster than a
-        # tuple holding a Fraction
-        self.key = f"vacuum({self.level})"
 
     # -- state constructors ---------------------------------------------------
 
@@ -329,20 +359,7 @@ class VacuumModule:
             return StateVector.of(VACUUM_MONO, c) if c else ZERO_STATE
         return ZERO_STATE
 
-    def act(self, a, n0: int, n, state: StateVector) -> StateVector:
-        """Apply the mode a(n0, n) to a state; exact.  For external callers:
-        ``a`` (a label or index) and the rank of ``n`` (any sequence) are
-        checked, and raise :class:`SpecFormatError`."""
-        a = self.spec.index_of(a)
-        n = tuple(n)
-        if len(n) != self.r:
-            raise SpecFormatError(f"multidegree {n} has rank {len(n)}, expected {self.r}")
-        return self.act_index(a, n0, n, state)
-
     def act_index(self, a: int, n0: int, n: tuple, state: StateVector) -> StateVector:
-        """:meth:`act` without its checks, for callers that hold a resolved
-        basis index and a rank-r tuple multidegree: a current's mode evaluator
-        in :class:`FieldSpace` and the recursion of :meth:`_act_mono`."""
         if len(state.terms) == 1:  # dominant case: a single monomial
             (mono, c), = state.terms.items()
             out = self._act_mono(a, n0, n, mono)
@@ -386,31 +403,22 @@ class VacuumModule:
         return result
 
 
-class ShiftedModule:
+class ShiftedModule(Module):
     """The vacuum module twisted by the automorphism
     a(m0, m) -> a(m0, m + m0*shift); a second restricted module of the same
-    level used to exercise the module-side identities."""
+    level used to exercise the module-side identities, acting through the
+    base module's tables."""
 
     def __init__(self, base: VacuumModule, shift):
-        self.base = base
-        self.shift = tuple(shift)
-        if len(self.shift) != base.r:
+        shift = tuple(shift)
+        if len(shift) != base.r:
             raise SpecFormatError("shift rank mismatch")
-        self.spec = base.spec
-        self.algebra = base.algebra
-        self.r = base.r
-        self.level = base.level
-        self.key = f"shifted({base.level};{self.shift})"
+        super().__init__(base.algebra, base.level, f"shifted({base.level};{shift})")
+        self.base, self.shift = base, shift
 
-    def vacuum(self):
-        return self.base.vacuum()
-
-    def tail(self, a):
-        return self.base.tail(a)
-
-    def act(self, a, n0, n, state):
+    def act_index(self, a: int, n0: int, n: tuple, state: StateVector) -> StateVector:
         moved = tuple(ni + n0 * si for ni, si in zip(n, self.shift))
-        return self.base.act(a, n0, moved, state)
+        return self.base.act_index(a, n0, moved, state)
 
 
 # ---------------------------------------------------------------------------

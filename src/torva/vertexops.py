@@ -122,6 +122,8 @@ class Session:
         w in the given restricted module (default: the vacuum module)."""
         mod = module or self.module
         n = tuple(n)
+        if len(n) != self.r:  # the module is reached through its unchecked act_index
+            raise SpecFormatError(f"multidegree {n} has rank {len(n)}, expected {self.r}")
         if isinstance(v, PBWMonomial):
             v = StateVector.of(v)
         terms = v.terms
@@ -150,13 +152,13 @@ class Session:
             if mono.tail is None:
                 result = w if (n0 == -1 and n == self._zero_mi) else ZERO_STATE
             else:
-                result = mod.act(mono.tail, n0, n, w)
+                result = mod.act_index(mono.tail, n0, n, w)
         else:
             (k1, a, m1) = mono.word[0]
             rest = PBWMonomial(mono.word[1:], mono.tail)
             wdeg = w.max_degree()
             result = StateVector.adopt(component_sum(
-                functools.partial(mod.act, a), m1,
+                functools.partial(mod.act_index, a), m1,
                 functools.partial(self._vm_mono, mod, rest), mi_sub(n, m1),
                 -k1, n0, w, wdeg + rest.degree - 1 - n0, wdeg))
         self._vm_cache.put(key, result)
@@ -276,7 +278,7 @@ class Session:
                 for mode in modes[start:]:
                     new = chain + (mode,)
                     (k, a, m), (st, label) = new[0], built[new[1:]]
-                    nxt[new] = (self.module.act(a, -k, m, st), names[new[0]] + " " + label)
+                    nxt[new] = (self.module.act_index(a, -k, m, st), names[new[0]] + " " + label)
             states.extend(nxt.values())
             built = nxt
         return VacuumIdeal.from_spanning(self, states)

@@ -182,7 +182,7 @@ def test_module_variant_jacobi(s):
 def test_run_suite_abelian_all_green():
     s0 = Session(abelian_spec(), 1, Fraction(1, 2))
     win = ModeWindow([-2, 2], [[-1, 1]], [s0.vacuum(), s0.tail("a")])
-    rep = run_suite(s0, win, seed=1, samples=6, depth=2)
+    rep = run_suite(s0, win, seed=1, samples=6)
     assert rep.ok, [f.to_json() for f in rep.findings if not f.ok]
 
 
@@ -218,8 +218,7 @@ def test_cache_cap_never_changes_a_report():
         cfg = dataclasses.replace(base, cache_entries=cap)
         session = cfg.build_session()
         win, = cfg.build_windows(session)
-        rep = run_suite(session, win, seed=1, checks=groups,
-                        samples=cfg.samples, depth=win.depth)
+        rep = run_suite(session, win, seed=1, checks=groups, samples=cfg.samples)
         for f in rep.findings:
             f.wall_ms = 0
         reports.append(rep.to_json())
@@ -264,7 +263,7 @@ def test_affine_commutator_catches_mutants():
         if name not in want:
             continue
         win, = cfg.build_windows(mutated)
-        findings = _vacuum_ideal_findings(mutated, win, win.depth, random.Random(0))
+        findings = _vacuum_ideal_findings(mutated, win, random.Random(0))
         f, = [f for f in findings if f.law == "vacuum-ideal affine commutators"]
         assert f.status == "fail", name
         got[name] = f.witness

@@ -259,3 +259,18 @@ def test_bad_cache_or_out_path_exit_2(cfg, tmp_path, case):
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command, out", [("axioms", "."), ("v0", "."),
+                                          ("axioms", "missing/r.json")])
+def test_unwritable_out_fails_before_the_run(cfg, tmp_path, monkeypatch, capsys, command, out):
+    from torva import cli
+
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_suite", started)
+    monkeypatch.setattr(cli, "_vacuum_ideal_findings", started)
+    assert cli.main(["--config", cfg, command, "--out", str(tmp_path / out)]) == 2
+    assert "report path" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()

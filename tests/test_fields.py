@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from torva import LocalityError, ModeWindow, Session, SpecFormatError
+from torva import FieldSpace, LocalityError, ModeWindow, Session, ShiftedModule, SpecFormatError
+from torva.axioms import expected_locality
 
 from conftest import abelian_spec, sl2_spec, small_window
 
@@ -337,3 +338,26 @@ def test_generated_products_match_closed_forms(s):
     prod = fs.product(cur["e"], 1, (0,), cur["f"], window=win)
     for w in win.states:
         assert fs.mode(prod, -1, (0,), w) == w  # level <e,f> = 1
+
+
+def test_field_space_over_the_shifted_module(s, win):
+    # a field space takes any module of the protocol: over the twist of the
+    # vacuum module the current-pair locality orders are the expected ones,
+    # and product modes agree with the residue oracle
+    fs = FieldSpace(ShiftedModule(s.module, (1,)))
+    cur = {b: fs.current(b) for b in s.spec.basis}
+    assert fs.locality_order(cur["e"], cur["f"], win) == 2
+    for a in s.spec.basis:
+        for b in s.spec.basis:
+            k = fs.locality_order(cur[a], cur[b], win)
+            kind, val = expected_locality(s, a, b)
+            assert (k == val) if kind == "exact" else (k <= val), (a, b, k)
+    rng = random.Random(5)
+    modes = list(win.modes())
+    for a, b in (("e", "f"), ("h", "e"), ("f", "h")):
+        for _ in range(3):
+            (m0, m), (k0, k) = rng.choice(modes), rng.choice(modes)
+            w = rng.choice(win.states)
+            prod = fs.product(cur[a], m0, m, cur[b], window=win)
+            assert (fs.mode(prod, k0, k, w)
+                    == fs.residue_oracle_mode(cur[a], m0, m, cur[b], k0, k, w)), (a, b, m0, m, k0, k)

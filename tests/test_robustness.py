@@ -101,3 +101,17 @@ def test_level_string_through_config(tmp_path):
     assert s.product(s.tail("e"), 1, (0,), s.tail("f")) == s.vacuum().scaled(Fraction(-3, 2))
     wins = cfg.build_windows(s)
     assert wins[0].size == 3
+
+
+def test_top_level_window_defaults_apply_without_windows():
+    # a config without "windows" gets one window whose depth and locality
+    # bound are the config's top-level values, or 2 and 8 when absent
+    from torva import SessionConfig
+    from conftest import CONFIG_DIR
+    base = {"algebra": "sl2.json", "r": 1}
+    for extra, want in (({"depth": 4, "locality_bound": 3}, (4, 3)), ({}, (2, 8))):
+        cfg = SessionConfig.from_json({**base, **extra}, base_dir=CONFIG_DIR)
+        s = cfg.build_session()
+        win, = cfg.build_windows(s)
+        assert (win.depth, win.locality_bound) == want
+        assert (win.m0_lo, win.m0_hi, win.m_box, win.states) == (-2, 2, ((-1, 1),), (s.vacuum(),))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torva import Session, state_from_json, state_to_json
-from torva.axioms import mod_act_elem, sample_toroidal
-from torva.states import Memo, PBWMonomial, StateVector, ZERO_STATE, _accumulate
+from torva.axioms import sample_toroidal
+from torva.states import Memo, PBWMonomial, ShiftedModule, StateVector, ZERO_STATE, _accumulate
 
 from conftest import sl2_spec
 
@@ -89,22 +89,37 @@ def test_word_confluence_vs_chain(s):
 
 
 def test_module_law_random(s):
-    rng = random.Random(2)
-    for _ in range(40):
-        x = sample_toroidal(s, rng, 2)
-        y = sample_toroidal(s, rng, 2)
-        w = s.monomial([(1, "e", (rng.randrange(-1, 2),))]) if rng.random() < 0.5 else s.tail("f")
-        lhs = (mod_act_elem(s.module, x, mod_act_elem(s.module, y, w))
-               - mod_act_elem(s.module, y, mod_act_elem(s.module, x, w)))
-        rhs = mod_act_elem(s.module, s.algebra.bracket(x, y), w)
-        assert lhs == rhs
+    for mod in (s.module, ShiftedModule(s.module, (1,))):
+        rng = random.Random(2)
+        for _ in range(40):
+            x = sample_toroidal(s, rng, 2)
+            y = sample_toroidal(s, rng, 2)
+            w = (s.monomial([(1, "e", (rng.randrange(-1, 2),))]) if rng.random() < 0.5
+                 else s.tail("f"))
+            lhs = mod.act_elem(x, mod.act_elem(y, w)) - mod.act_elem(y, mod.act_elem(x, w))
+            rhs = mod.act_elem(s.algebra.bracket(x, y), w)
+            assert lhs == rhs, mod.key
+
+
+def test_shifted_act_index_is_the_twisted_base_action(s):
+    # the twist moves the acting mode only, through the base module's tables
+    mod = ShiftedModule(s.module, (1,))
+    assert not hasattr(mod, "_act_cache") and not hasattr(mod, "_word_cache")
+    states = [s.vacuum(), s.tail("e"), s.parse_state("f(-1;0) vac")]
+    for a, label in enumerate(s.spec.basis):
+        for n0 in range(-2, 3):
+            for n in range(-1, 2):
+                for w in states:
+                    got = mod.act_index(a, n0, (n,), w)
+                    assert got == mod.act(label, n0, [n], w)
+                    assert got == s.module.act_index(a, n0, (n + n0,), w)
 
 
 def test_act_elem_rejects_derivations(s):
     from torva import ToroidalElement
     d = ToroidalElement.derivation(1, 0)
     with pytest.raises(ValueError):
-        mod_act_elem(s.module, d, s.vacuum())
+        s.module.act_elem(d, s.vacuum())
 
 
 def test_central_acts_as_level():
@@ -112,7 +127,7 @@ def test_central_acts_as_level():
     from torva import ToroidalElement
     c = ToroidalElement.center(1)
     w = s2.tail("e")
-    assert mod_act_elem(s2.module, c, w) == w.scaled(-2)
+    assert s2.module.act_elem(c, w) == w.scaled(-2)
 
 
 def test_statevector_algebra(s):

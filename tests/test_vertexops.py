@@ -360,6 +360,14 @@ def test_ordinary_mode_one_and_two_degrees(s, win, shifted):
             assert s.ordinary_mode(two, n0, w, module=mod) == want
 
 
+def test_vertex_mode_rejects_a_wrong_rank_multidegree(s):
+    from torva import SpecFormatError
+    for v in (s.tail("e"), s.parse_state("e(-1;0) vac")):
+        for module in (None, ShiftedModule(s.module, (1,))):
+            with pytest.raises(SpecFormatError):
+                s.vertex_mode(v, -1, (0, 0), s.tail("f"), module=module)
+
+
 def test_parse_state_grammar(s):
     assert s.parse_state("vac") == s.vacuum()
     assert s.parse_state("1") == s.vacuum()
