@@ -16,7 +16,9 @@ and weak associativity
     (z0+y0)^l Y(Y(u;z0,z)v;y0,y) w = (z0+y0)^l Y(u;z0+y0,zy) Y(v;y0,y) w,
 
 whose exponents are found by upward search under a cap; the single-identity
-coefficient form is kept as a randomised spot check of the equivalence.
+coefficient form is kept as a randomised spot check of the equivalence.  The
+skew and weak-associativity scans skip every coefficient tuple that the degree
+witness proves zero on both sides.
 """
 
 from __future__ import annotations
@@ -106,12 +108,16 @@ class AxiomChecker:
 
     def weak_associativity_witness(self, u, v, w, l: int, window: ModeWindow):
         """Compare both sides of the l-th weak associativity relation on every
-        window coefficient (a0, aa, b0, b); w is a fixed module state."""
+        window coefficient (a0, aa, b0, b); w is a fixed module state.  Both
+        sides vanish by degree once a0 + b0 + l passes the witness ``top``."""
         sess = self.session
         A = lambda n0, P, t: self.vm(u, l + n0, P, t)
         B = functools.partial(self.vm, v)
+        top = w.max_degree() + u.max_degree() + v.max_degree() - 2 - l
         for (a0, aa) in window.modes():
             for (b0, b) in window.modes():
+                if a0 + b0 > top:
+                    continue
                 lhs = self._product_sum(u, v, a0, l, b0, lambda n0: sess.product(u, n0, aa, v),
                                         lambda x, n0: self.vm(x, n0, b, w))
                 hi = w.max_degree() + v.max_degree() - 1 - b0
@@ -171,14 +177,18 @@ class AxiomChecker:
         those of (v, u), coefficientwise on the window.  The products
         u_(c0, C) v and v_(c0, C) u and their modes are held in tables local
         to this call: a pair has few distinct products, and the scan reads
-        each of them many times."""
+        each of them many times.  Every term at (a0, b0) has t0-index total
+        a0 + b0, so a tuple past the witness ``tops`` is skipped."""
         sess = self.session
         Fuv = self._composite_modes(u, v, window.states)
         Fvu = self._composite_modes(v, u, window.states)
         bound_vu = u.max_degree() + v.max_degree() - 1
+        tops = [w.max_degree() + bound_vu - 1 for w in window.states]
         for (a0, A) in window.modes():
             for (b0, B) in window.modes():
                 for si in range(len(window.states)):
+                    if a0 + b0 > tops[si]:
+                        continue
                     lhs = Fuv(a0, A, b0, B, si)
                     rhs = self._skew_transform(
                         lambda c0, C, d0, D: Fvu(c0, C, d0, D, si),
@@ -194,14 +204,18 @@ class AxiomChecker:
         composite modes (binomial telescoping, checked on the window).  The
         products u_(c0, C) v, their modes and the inner transforms TF are
         held in tables local to this call, keyed by their arguments and the
-        state index."""
+        state index; a tuple past the witness is skipped, as in
+        :meth:`skew_symmetry_witness`."""
         F = self._composite_modes(u, v, window.states)
         bound = u.max_degree() + v.max_degree() - 1
         TF = functools.cache(lambda c0, C, d0, D, si: self._skew_transform(
             lambda *args: F(*args, si), c0, C, d0, D, max(bound - c0, 0)))
+        tops = [w.max_degree() + bound - 1 for w in window.states]
         for (a0, A) in window.modes():
             for (b0, B) in window.modes():
                 for si in range(len(window.states)):
+                    if a0 + b0 > tops[si]:
+                        continue
                     twice = self._skew_transform(lambda *args: TF(*args, si),
                                                  a0, A, b0, B, max(bound - a0, 0))
                     if twice != F(a0, A, b0, B, si):

@@ -89,6 +89,9 @@ class SessionConfig:
         cache = data.get("cache", {})
         if not isinstance(cache, dict):
             raise SpecFormatError("'cache' must be an object")
+        samples = _integer("samples", data.get("samples", 20))
+        if samples < 0:
+            raise SpecFormatError(f"config field 'samples' must be >= 0, got {samples}")
         checks = data.get("checks")
         if checks is not None and not (isinstance(checks, list)
                                        and all(c in CHECK_GROUPS for c in checks)):
@@ -97,7 +100,7 @@ class SessionConfig:
         return cls(
             algebra_path=algebra, r=r, level=level, windows=windows,
             seed=_integer("seed", data.get("seed", 0)),
-            samples=_integer("samples", data.get("samples", 20)),
+            samples=samples,
             budget=_integer("budget", data.get("budget", 4_000_000)),
             cache_entries=_integer("cache.max_entries", cache.get("max_entries", 200_000)),
             checks=checks, output=data.get("output"), base_dir=base_dir,
@@ -120,7 +123,11 @@ class SessionConfig:
             m_box = w.get("m") or [[-1, 1]] * self.r
             if len(m_box) != self.r:
                 raise SpecFormatError(f"window box rank {len(m_box)} != r={self.r}")
-            states = [session.parse_state(s) for s in w.get("states", ["vac"])]
+            states = w.get("states", ["vac"])
+            if not isinstance(states, list):
+                raise SpecFormatError(f"malformed mode window: 'states' must be a list of "
+                                      f"state references, got {states!r}")
+            states = [session.parse_state(s) for s in states]
             out.append(ModeWindow(m0, m_box, states,
                                   locality_bound=w.get("locality_bound", self.locality_bound),
                                   depth=w.get("depth", self.depth)))

@@ -13,7 +13,8 @@ independent evaluator that materialises truncated series and extracts
 coefficients generically.
 
 Window checks are sound but window-complete only: a failure disproves an
-identity, a pass certifies it on the window alone.
+identity, a pass certifies it on the window alone.  A locality scan skips
+every coefficient tuple that the degree witness proves zero.
 """
 
 from __future__ import annotations
@@ -148,7 +149,8 @@ class FieldSpace:
     generator pair; ``_comm_cache`` the commutators of the one pair whose
     locality order is being settled (currents, or vertex operators of states
     in the Jacobi checks), and ``_first_cache`` their inner applications.
-    Locality orders go in an unbounded dict, one per handle pair and window.  ``term_bound`` caps the terms of any product-mode sum.
+    Locality orders go in an unbounded dict, one per handle pair and window.
+    ``term_bound`` caps the terms of any product-mode sum.
     """
 
     def __init__(self, module, term_bound: int = 200_000, cache_entries: int = 200_000):
@@ -295,9 +297,13 @@ class FieldSpace:
     def locality_passes_at(self, a, b, k: int, window: ModeWindow):
         """Check (x0-y0)^k [a(x0,x), b(y0,y)] = 0 coefficientwise on the
         window; returns None or the first offending tuple
-        (p0, p, q0, q, state index, residual)."""
+        (p0, p, q0, q, state index, residual).  Every term of a tuple has
+        t0-index total p0 + q0 + k, so a tuple past the witness is skipped."""
+        tops = [w.max_degree() - a.t0_offset - b.t0_offset - k for w in window.states]
         for (p0, p), (q0, q) in itertools.product(window.modes(), repeat=2):
             for si, w in enumerate(window.states):
+                if p0 + q0 > tops[si]:
+                    continue
                 acc = {}
                 for i in range(k + 1):
                     c = binom(k, i) * (-1 if i % 2 else 1)

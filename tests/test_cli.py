@@ -64,7 +64,7 @@ def test_malformed_json_exit_2(tmp_path):
 @pytest.mark.parametrize("edit", [
     {"seed": "abc"}, {"seed": 2.5}, {"samples": "x"}, {"budget": [1]}, {"depth": "two"},
     {"locality_bound": None}, {"cache": {"max_entries": "many"}}, {"cache": "big"},
-    {"checks": "lie"}, {"checks": ["lie", "bogus"]}])
+    {"checks": "lie"}, {"checks": ["lie", "bogus"]}, {"samples": -1}])
 def test_bad_config_field_exit_2(cfg, tmp_path, edit):
     payload = {**json.loads(open(cfg).read()), **edit}
     bad = tmp_path / "bad_cfg.json"
@@ -92,6 +92,19 @@ def test_malformed_window_exit_2(cfg, tmp_path, window):
     out = run_cli(["--config", str(bad), "field", "e"])
     assert out.returncode == 2, out.stderr
     assert "malformed mode window" in out.stderr
+
+
+@pytest.mark.parametrize("states", ["e", "vac"])
+def test_window_states_string_exit_2(cfg, tmp_path, states):
+    # a string is not read one character at a time as labels
+    payload = json.loads(open(cfg).read())
+    payload["windows"][0]["states"] = states
+    bad = tmp_path / "bad_cfg.json"
+    bad.write_text(json.dumps(payload))
+    out = run_cli(["--config", str(bad), "axioms"])
+    assert out.returncode == 2, out.stderr
+    assert "'states' must be a list" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_product_command(cfg):
