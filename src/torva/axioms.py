@@ -354,6 +354,7 @@ def check_jacobi(checker, u, v, w, window, rng=None, spot_checks=10, label="") -
     cap = 8
 
     def run():
+        checker.session.empty_working_sets()  # they hold one triple
         k = checker.session.fields.locality_order(checker.field(u), checker.field(v),
                                                   window, cap)
         if k is None:
@@ -378,6 +379,7 @@ def check_jacobi(checker, u, v, w, window, rng=None, spot_checks=10, label="") -
 
 def check_skew_symmetry(checker, u, v, window, label="") -> Finding:
     def run():
+        checker.session.empty_working_sets()  # they hold one pair
         wtn = checker.skew_symmetry_witness(u, v, window)
         if wtn is not None:
             return "fail", wtn
@@ -638,8 +640,8 @@ def _derivative_findings(session: Session, window: ModeWindow) -> list:
     """Derivative handles against the generating-function shifts: the first
     slot obeys (D0 a)_(m0,m) b = -m0 a_(m0-1,m) b and
     (Di a)_(m0,m) b = -m_i a_(m0,m) b.  A reference product is read again
-    only within its own generator pair, so the field space's product-mode
-    table is emptied when the check moves to the next pair."""
+    only within its own generator pair, so the session's working sets are
+    emptied when the check moves to the next pair."""
     fs = session.fields
     out = []
 
@@ -647,7 +649,7 @@ def _derivative_findings(session: Session, window: ModeWindow) -> list:
         currents = [fs.current(a) for a in session.spec.basis]
         for n, (ha, hb) in enumerate(itertools.product(currents, repeat=2)):
             if n:  # a pair's reference products are read only within it
-                fs.empty_mode_cache()
+                session.empty_working_sets()
             for i in range(session.r + 1):
                 da = fs.derivative(i, ha)
                 for (m0, m) in window.modes():

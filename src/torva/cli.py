@@ -3,7 +3,8 @@
 Commands: validate | act | product | field | locality | axioms | v0 | report.
 Exit codes: 0 pass, 1 mathematical failure, 2 usage/config error, 3 resource
 refusal (window budget exceeded, an exponent search hit its cap so no verdict
-was reached, or the run exhausted the recursion limit or memory).
+was reached and no finding failed, or the run exhausted the recursion limit
+or memory).
 
 All input and output is JSON with rationals as "p/q" strings; reports are
 byte-deterministic for a fixed config apart from the timing fields.
@@ -12,6 +13,7 @@ byte-deterministic for a fixed config apart from the timing fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -29,24 +31,33 @@ EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
-# Bump when the findings a check group produces for the same inputs change,
-# so that `--cache` files written by older code are not replayed.
-CACHE_SCHEMA = 2
-
 
 def _digest(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
+@functools.cache
+def _engine_digest() -> str:
+    """SHA-256 of the bytes of this package's ``*.py`` files, in name order."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(root) if n.endswith(".py")):
+        with open(os.path.join(root, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
+    return h.hexdigest()
+
+
 def _group_cache_key(cfg: SessionConfig, spec: LieAlgebraSpec, window_index: int,
                      group: str) -> str:
     """Key of one group's cached findings.  Besides the config digest payload,
     which names the algebra by path only, it covers the algebra's content,
-    the top-level window defaults and the cache schema."""
+    the top-level window defaults and the engine's own source, so a cache
+    written by other code is never replayed."""
     return _digest({**cfg.digest_payload(), "algebra_sha256": _digest(spec.to_json()),
                     "depth": cfg.depth, "locality_bound": cfg.locality_bound,
-                    "schema": CACHE_SCHEMA, "window_index": window_index, "group": group})
+                    "engine_sha256": _engine_digest(), "window_index": window_index,
+                    "group": group})
 
 
 def _load_cache(path):
@@ -87,15 +98,26 @@ def _out_path(cfg: SessionConfig, args):
     return path
 
 
-def _emit_report(report: SuiteReport, path, quiet=False):
+def _verdict(report: SuiteReport) -> int:
+    """1 if a finding failed, else 3 if an exponent search hit its cap, else
+    0; prints the summary and the overall line."""
+    for line in report.summary_lines():
+        print(line)
+    if any(f.status == "fail" for f in report.findings):
+        print("overall: FAIL" + (" (caps exceeded)" if report.cap_exceeded else ""))
+        return EXIT_MATH_FAIL
+    if report.cap_exceeded:
+        print("overall: no full verdict (caps exceeded)")
+        print("no full verdict: an exponent search hit its cap", file=sys.stderr)
+        return EXIT_REFUSED
+    print("overall: pass")
+    return EXIT_PASS
+
+
+def _write_report(report: SuiteReport, path):
     if path:
         with open(path, "w") as fh:
             json.dump(report.to_json(), fh, indent=1, sort_keys=True)
-    if not quiet:
-        for line in report.summary_lines():
-            print(line)
-        print(f"overall: {'pass' if report.ok else 'FAIL'}"
-              + (" (caps exceeded)" if report.cap_exceeded else ""))
 
 
 def cmd_validate(cfg: SessionConfig, args) -> int:
@@ -162,6 +184,8 @@ def cmd_axioms(cfg: SessionConfig, args) -> int:
     windows = cfg.build_windows(session)
     cost = _estimate_cost(cfg, windows)
     budget = args.budget if args.budget is not None else cfg.budget
+    if budget < 0:
+        raise SpecFormatError(f"--budget must be >= 0, got {budget}")
     if cost > budget:
         print(f"refused: estimated cost {cost} exceeds budget {budget}; "
               f"shrink the window or raise --budget", file=sys.stderr)
@@ -169,8 +193,8 @@ def cmd_axioms(cfg: SessionConfig, args) -> int:
     if args.mutate:
         report = run_mutation_suite(session, windows[0], seed=cfg.seed)
         report.config_digest = _digest(cfg.digest_payload())
-        _emit_report(report, out)
-        return EXIT_PASS if report.ok else EXIT_MATH_FAIL
+        _write_report(report, out)
+        return _verdict(report)
     cache = _load_cache(args.cache)
     findings = []
     groups = cfg.checks or CHECK_GROUPS
@@ -185,13 +209,8 @@ def cmd_axioms(cfg: SessionConfig, args) -> int:
             findings.extend(part.findings)
     _save_cache(args.cache, cache)
     report = SuiteReport(findings, config_digest=_digest(cfg.digest_payload()))
-    _emit_report(report, out)
-    if not report.ok:
-        return EXIT_MATH_FAIL
-    if report.cap_exceeded:
-        print("no full verdict: an exponent search hit its cap", file=sys.stderr)
-        return EXIT_REFUSED
-    return EXIT_PASS
+    _write_report(report, out)
+    return _verdict(report)
 
 
 def cmd_v0(cfg: SessionConfig, args) -> int:
@@ -226,11 +245,7 @@ def cmd_report(cfg, args) -> int:
         findings = _findings_from_json(data["findings"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise SpecFormatError(f"{args.path!r} is not a readable report: {exc!r}") from exc
-    report = SuiteReport(findings, config_digest=data.get("config_digest", ""))
-    for line in report.summary_lines():
-        print(line)
-    print(f"overall: {'pass' if report.ok else 'FAIL'}")
-    return EXIT_PASS if report.ok else EXIT_MATH_FAIL
+    return _verdict(SuiteReport(findings, config_digest=data.get("config_digest", "")))
 
 
 def _parse_multi(text: str, r: int):

@@ -10,12 +10,12 @@ Shape:
       "windows": [{"m0": [-2, 2], "m": [[-1, 1]], "states": ["vac", "e"],
                    "locality_bound": 8, "depth": 2}],
       "seed": 0, "samples": 20, "budget": 4000000,
-      "cache": {"max_entries": 200000},
       "checks": null, "output": "report.json"
     }
 
 Rationals are strings ("p/q") end to end; window states use the state
-reference grammar of :meth:`torva.vertexops.Session.parse_state`.
+reference grammar of :meth:`torva.vertexops.Session.parse_state`.  A
+top-level field not named above is a config error.
 """
 
 from __future__ import annotations
@@ -31,14 +31,20 @@ from .liecore import LieAlgebraSpec, SpecFormatError, frac
 from .vertexops import Session
 
 
-def _integer(name: str, value) -> int:
-    """``int(value)``; a value that is not an integer is a config error."""
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError("fractional or infinite")
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(f"config field {name!r} must be an integer, got {value!r}") from exc
+_FIELDS = ("algebra", "r", "level", "windows", "seed", "samples", "budget", "checks",
+           "output", "depth", "locality_bound")
+
+
+def _integer(name: str, value, low=None) -> int:
+    """``value`` as an int: a JSON integer, or a float with an integral value;
+    anything else, or a value below ``low``, is a config error."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise SpecFormatError(f"config field {name!r} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise SpecFormatError(f"config field {name!r} must be >= {low}, got {value}")
+    return value
 
 
 @dataclass
@@ -50,7 +56,6 @@ class SessionConfig:
     seed: int = 0
     samples: int = 20
     budget: int = 4_000_000
-    cache_entries: int = 200_000
     checks: Optional[list] = None
     output: Optional[str] = None
     base_dir: str = "."
@@ -71,14 +76,20 @@ class SessionConfig:
     def from_json(cls, data: dict, base_dir: str = ".") -> "SessionConfig":
         if not isinstance(data, dict):
             raise SpecFormatError("config must be a JSON object")
+        unknown = sorted(set(data) - set(_FIELDS))
+        if unknown:
+            raise SpecFormatError(f"config fields {unknown} are unknown: each field must be "
+                                  f"one of {list(_FIELDS)}")
         try:
             algebra = data["algebra"]
-            r = _integer("r", data["r"])
+            r = _integer("r", data["r"], 1)
             level = str(data.get("level", "0"))
         except KeyError as exc:
             raise SpecFormatError(f"config missing field {exc}") from exc
-        if r < 1:
-            raise SpecFormatError("rank r must be >= 1")
+        output = data.get("output")
+        if not isinstance(algebra, str) or not isinstance(output, (str, type(None))):
+            raise SpecFormatError(f"config fields 'algebra' and 'output' must be paths, got "
+                                  f"{algebra!r} and {output!r}")
         try:
             frac(level)
         except (ValueError, ZeroDivisionError) as exc:
@@ -86,12 +97,6 @@ class SessionConfig:
         windows = data.get("windows") or [{}]
         if not isinstance(windows, list) or not windows:
             raise SpecFormatError("'windows' must be a nonempty list")
-        cache = data.get("cache", {})
-        if not isinstance(cache, dict):
-            raise SpecFormatError("'cache' must be an object")
-        samples = _integer("samples", data.get("samples", 20))
-        if samples < 0:
-            raise SpecFormatError(f"config field 'samples' must be >= 0, got {samples}")
         checks = data.get("checks")
         if checks is not None and not (isinstance(checks, list)
                                        and all(c in CHECK_GROUPS for c in checks)):
@@ -100,10 +105,9 @@ class SessionConfig:
         return cls(
             algebra_path=algebra, r=r, level=level, windows=windows,
             seed=_integer("seed", data.get("seed", 0)),
-            samples=samples,
-            budget=_integer("budget", data.get("budget", 4_000_000)),
-            cache_entries=_integer("cache.max_entries", cache.get("max_entries", 200_000)),
-            checks=checks, output=data.get("output"), base_dir=base_dir,
+            samples=_integer("samples", data.get("samples", 20), 0),
+            budget=_integer("budget", data.get("budget", 4_000_000), 0),
+            checks=checks, output=output, base_dir=base_dir,
             depth=_integer("depth", data.get("depth", 2)),
             locality_bound=_integer("locality_bound", data.get("locality_bound", 8)))
 
@@ -112,7 +116,7 @@ class SessionConfig:
 
     def build_session(self) -> Session:
         spec = LieAlgebraSpec.from_file(self.resolve(self.algebra_path))
-        return Session(spec, self.r, self.level, cache_entries=self.cache_entries)
+        return Session(spec, self.r, self.level)
 
     def build_windows(self, session: Session) -> list:
         out = []
@@ -121,6 +125,9 @@ class SessionConfig:
                 raise SpecFormatError(f"malformed mode window: {w!r} is not an object")
             m0 = w.get("m0", [-2, 2])
             m_box = w.get("m") or [[-1, 1]] * self.r
+            if not isinstance(m_box, list):
+                raise SpecFormatError(f"malformed mode window: 'm' must be a list of ranges, "
+                                      f"got {m_box!r}")
             if len(m_box) != self.r:
                 raise SpecFormatError(f"window box rank {len(m_box)} != r={self.r}")
             states = w.get("states", ["vac"])

@@ -143,28 +143,24 @@ class GeneratedSpace:
 class FieldSpace:
     """Factory and evaluation context for field handles over one module.
 
-    :class:`Memo` tables bounded by ``cache_entries`` keep only what is read
-    again: ``_mode_cache`` the product modes on (provenance, mode, state), as
-    leaves recompute cheaply, until the derivative check moves to its next
-    generator pair; ``_comm_cache`` the commutators of the one pair whose
+    :meth:`Session.empty_working_sets` empties its :class:`Memo` tables:
+    ``_mode_cache`` the product modes on (provenance, mode, state), as leaves
+    recompute cheaply; ``_comm_cache`` the commutators of the one pair whose
     locality order is being settled (currents, or vertex operators of states
-    in the Jacobi checks), and ``_first_cache`` their inner applications.
+    in the Jacobi checks), and ``_first_cache`` their inner applications,
+    both also emptied as soon as that order is settled.
     Locality orders go in an unbounded dict, one per handle pair and window.
     ``term_bound`` caps the terms of any product-mode sum.
     """
 
-    def __init__(self, module, term_bound: int = 200_000, cache_entries: int = 200_000):
+    def __init__(self, module, term_bound: int = 200_000):
         self.module = module
         self.r = module.r
         self.term_bound = term_bound
-        self._mode_cache = Memo(cache_entries)
-        self._comm_cache = Memo(cache_entries)
-        self._first_cache = Memo(cache_entries)
+        self._mode_cache = Memo()
+        self._comm_cache = Memo()
+        self._first_cache = Memo()
         self._locality_cache = {}
-
-    def empty_mode_cache(self):
-        """Drop every stored product mode; the counters are kept."""
-        self._mode_cache.empty()
 
     # -- handle constructors --------------------------------------------------
 

@@ -170,16 +170,23 @@ class LieAlgebraSpec:
         index = {b: i for i, b in enumerate(basis)}
 
         def idx(x):
-            if isinstance(x, int):
+            if type(x) is int:  # a JSON true is not index 1
                 return x
             if x in index:
                 return index[x]
             raise SpecFormatError(f"unknown basis reference {x!r}")
 
+        def exact(x):
+            # JSON gives a float at its binary value, never the decimal written
+            if isinstance(x, (float, bool)):
+                raise SpecFormatError(f"algebra entry {x!r} is a float or bool: write an "
+                                      f"integer or a 'p/q' string")
+            return frac(x)
+
         brackets = {}
         for entry in data.get("brackets", []):
             i, j = idx(entry["i"]), idx(entry["j"])
-            coeffs = {idx(k): frac(v) for k, v in entry.get("coeffs", {}).items()}
+            coeffs = {idx(k): exact(v) for k, v in entry.get("coeffs", {}).items()}
             if (i, j) in brackets:
                 raise SpecFormatError(f"duplicate bracket entry for ({i},{j})")
             brackets[(i, j)] = coeffs
@@ -189,7 +196,7 @@ class LieAlgebraSpec:
         for (i, j), coeffs in list(brackets.items()):
             if (j, i) not in brackets:
                 brackets[(j, i)] = {k: -c for k, c in coeffs.items()}
-        return cls(basis, brackets, data.get("form", []))
+        return cls(basis, brackets, [[exact(x) for x in row] for row in data.get("form", [])])
 
     @classmethod
     def from_file(cls, path) -> "LieAlgebraSpec":
@@ -198,7 +205,12 @@ class LieAlgebraSpec:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise SpecFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-        return cls.from_json(data)
+        try:
+            return cls.from_json(data)
+        except SpecFormatError:
+            raise
+        except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+            raise SpecFormatError(f"{path}: malformed algebra file: {exc!r}") from exc
 
     def to_json(self) -> dict:
         entries = []

@@ -13,8 +13,8 @@ creation modes), so normalisation terminates.
 
 :class:`Module` is the one module protocol.  Mode action and normal ordering
 live on :class:`VacuumModule`, which :class:`ShiftedModule` twists; results
-are memoised in :class:`Memo` tables because closure generation revisits the
-same states heavily.  Degrees are read off the states themselves
+are memoised in two :class:`Memo` tables that live with the module, as every
+check group rereads them.  Degrees are read off the states themselves
 (:meth:`StateVector.max_degree`): the grading gives a(n0, n) . w = 0 for every
 n0 beyond the top degree of w.  Monomials are interned, so equal monomials
 are one object and memo lookups on them hit on identity.
@@ -193,22 +193,17 @@ def _accumulate(acc: dict, state: StateVector, coeff):
 
 
 class Memo:
-    """Memo table: a plain dict, cleared in full when a ``put`` would pass
-    ``max_entries``; ``max_entries <= 0`` disables it.
+    """Memo table: a plain dict, emptied when the work that rereads it ends; a
+    value is then recomputed, so no result depends on it.  Stored values are
+    never None.  No lock: one session, one thread at a time.  ``hits`` and
+    ``misses`` count lookups."""
 
-    The cap bounds memory only: a value is recomputed after a clear, so no
-    result depends on it.  Stored values are never None.  There is no lock:
-    a table belongs to one session and is used by one thread at a time.
-    ``hits`` and ``misses`` count lookups, ``clears`` the full clears."""
+    __slots__ = ("_data", "hits", "misses")
 
-    __slots__ = ("_data", "_cap", "hits", "misses", "clears")
-
-    def __init__(self, max_entries: int = 200_000):
+    def __init__(self):
         self._data = {}
-        self._cap = max_entries
         self.hits = 0
         self.misses = 0
-        self.clears = 0
 
     def get(self, key):
         val = self._data.get(key)
@@ -219,13 +214,7 @@ class Memo:
         return val
 
     def put(self, key, value):
-        data = self._data
-        if len(data) >= self._cap:
-            if self._cap <= 0:
-                return
-            data.clear()
-            self.clears += 1
-        data[key] = value
+        self._data[key] = value
 
     def empty(self):
         """Drop every entry; the counters are left as they are."""
@@ -281,11 +270,11 @@ class VacuumModule(Module):
     creation modes prepend to the word and re-canonicalise.
     """
 
-    def __init__(self, algebra: ToroidalAlgebra, level: Scalar, cache_entries: int = 200_000):
+    def __init__(self, algebra: ToroidalAlgebra, level: Scalar):
         # a plain string key hashes much faster than a tuple holding a Fraction
         super().__init__(algebra, level, f"vacuum({frac(level)})")
-        self._act_cache = Memo(cache_entries)
-        self._word_cache = Memo(cache_entries)
+        self._act_cache = Memo()
+        self._word_cache = Memo()
 
     # -- state constructors ---------------------------------------------------
 
@@ -436,12 +425,21 @@ def state_to_json(spec: LieAlgebraSpec, state: StateVector) -> list:
 
 
 def state_from_json(module: VacuumModule, data: list) -> StateVector:
+    """The state of :func:`state_to_json`'s output; malformed input, a float
+    coefficient included, raises :class:`SpecFormatError`."""
     total = {}
-    for item in data:
-        word = []
-        for entry in item.get("word", []):
-            label, k, *m = entry
-            word.append((k, label, tuple(m)))
-        mono_state = module.monomial(word, item.get("tail", "1"))
-        _accumulate(total, mono_state, frac(item.get("coeff", 1)))
+    try:
+        for item in data:
+            word = []
+            for entry in item.get("word", []):
+                label, k, *m = entry
+                word.append((k, label, tuple(m)))
+            coeff = item.get("coeff", 1)
+            if isinstance(coeff, (float, bool)):
+                raise SpecFormatError(f"state coefficient {coeff!r} is a float or bool")
+            _accumulate(total, module.monomial(word, item.get("tail", "1")), frac(coeff))
+    except SpecFormatError:
+        raise
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise SpecFormatError(f"malformed state JSON: {exc!r}") from exc
     return StateVector(total)

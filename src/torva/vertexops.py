@@ -37,18 +37,22 @@ class Session:
     """One fully wired instance: algebra, level, module, field space, caches."""
 
     def __init__(self, spec: LieAlgebraSpec, r: int, level: Scalar,
-                 cache_entries: int = 200_000, cocycle_scale: Scalar = 1,
-                 term_bound: int = 200_000):
+                 cocycle_scale: Scalar = 1, term_bound: int = 200_000):
         self.spec = spec
         self.r = r
         self.level = frac(level)
         self.algebra = ToroidalAlgebra(spec, r, cocycle_scale)
-        self.cache_entries = cache_entries
-        self.module = VacuumModule(self.algebra, self.level, cache_entries)
-        self.fields = FieldSpace(self.module, term_bound, cache_entries)
-        self._vm_cache = Memo(cache_entries)
-        self._vm_state_cache = Memo(cache_entries)
+        self.module = VacuumModule(self.algebra, self.level)
+        self.fields = FieldSpace(self.module, term_bound)
+        self._vm_cache = Memo()
+        self._vm_state_cache = Memo()
         self._zero_mi = mi_zero(r)
+
+    def empty_working_sets(self):
+        """Empty every memo table but the module's two, which every group rereads."""
+        for table in (self._vm_cache, self._vm_state_cache, self.fields._mode_cache,
+                      self.fields._comm_cache, self.fields._first_cache):
+            table.empty()
 
     # -- states ---------------------------------------------------------------
 
@@ -292,7 +296,7 @@ def echelonize(states: Sequence[StateVector]):
 
     Forward elimination reduces each incoming row only at its leading
     monomial, so a stored row may still hold the leads of other rows; one
-    back-substitution pass, largest lead first, then clears them.  The work
+    back-substitution pass, largest lead first, then removes them.  The work
     follows the fill of the rows, not the square of their number."""
     pivots = {}  # leading monomial -> row dict, reduced at its lead only
     for st in states:

@@ -1,7 +1,6 @@
 """Axiom checks: the two weak identities, the coefficient form, skew
 symmetry, the vacuum-expansion trio, mutation sensitivity."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -199,35 +198,30 @@ def test_run_suite_subset(s, win):
     assert "jacobi identity" not in laws
 
 
-def test_checker_memo_follows_session_cap():
-    off = Session(sl2_spec(), 1, 1, cache_entries=0)
-    fs = off.fields
-    win = small_window(off)
-    assert fs.locality_order(off.field_of(off.tail("e")), off.field_of(off.tail("f")), win, 8) == 2
-    assert len(fs._comm_cache) == 0 and fs._comm_cache.hits == 0
+def _keys_after(checks):
+    """The vertex-mode table keys a fresh session holds after ``checks``, a
+    list of (check, labels); each check must pass."""
+    sess = Session(sl2_spec(), 1, 1)
+    win = small_window(sess)
+    checker = AxiomChecker(sess)
+    for check, labels in checks:
+        states = [sess.tail(x) for x in labels]
+        if check is check_jacobi:
+            assert check_jacobi(checker, *states, win, rng=random.Random(5)).ok
+        else:
+            assert check(checker, *states, win).ok
+    return set(sess._vm_cache._data) | set(sess._vm_state_cache._data)
 
 
-def test_cache_cap_never_changes_a_report():
-    # the memo cap bounds memory only, which is why it is not part of the
-    # --cache key: a cap that clears the tables over and over, and no memo at
-    # all, give the report of the default cap
-    base = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
-    groups = ["table", "locality", "derivative", "transfer", "skew", "module-variant"]
-    reports = []
-    for cap in (200_000, 7, 0):
-        cfg = dataclasses.replace(base, cache_entries=cap)
-        session = cfg.build_session()
-        win, = cfg.build_windows(session)
-        rep = run_suite(session, win, seed=1, checks=groups, samples=cfg.samples)
-        for f in rep.findings:
-            f.wall_ms = 0
-        reports.append(rep.to_json())
-        if cap == 7:
-            table = session.fields._mode_cache
-            assert table.clears > 0 and len(table) <= 7
-    assert reports[0]["ok"]
-    assert reports[1] == reports[0]
-    assert reports[2] == reports[0]
+@pytest.mark.parametrize("check, first, second", [
+    (check_jacobi, ("e", "f", "h"), ("h", "e", "f")),
+    (check_skew_symmetry, ("e", "f"), ("f", "h"))])
+def test_vertex_mode_tables_hold_one_unit_of_work(check, first, second):
+    # a triple's (or pair's) vertex modes are gone once the next one starts
+    both = _keys_after([(check, first), (check, second)])
+    alone = _keys_after([(check, second)])
+    assert both and both <= alone
+    assert not _keys_after([(check, first)]) <= alone  # emptying is what keeps it so
 
 
 def test_finding_serialisation_roundtrip(s, ch, win):

@@ -64,7 +64,8 @@ def test_malformed_json_exit_2(tmp_path):
 @pytest.mark.parametrize("edit", [
     {"seed": "abc"}, {"seed": 2.5}, {"samples": "x"}, {"budget": [1]}, {"depth": "two"},
     {"locality_bound": None}, {"cache": {"max_entries": "many"}}, {"cache": "big"},
-    {"checks": "lie"}, {"checks": ["lie", "bogus"]}, {"samples": -1}])
+    {"checks": "lie"}, {"checks": ["lie", "bogus"]}, {"samples": -1},
+    {"budget": -1}, {"r": True}, {"r": "2"}, {"samples": "3"}, {"colour": "red"}])
 def test_bad_config_field_exit_2(cfg, tmp_path, edit):
     payload = {**json.loads(open(cfg).read()), **edit}
     bad = tmp_path / "bad_cfg.json"
@@ -180,6 +181,83 @@ def test_budget_refusal(cfg):
     out = run_cli(["--config", cfg, "--budget", "1", "axioms"])
     assert out.returncode == 3
     assert "budget" in out.stderr
+
+
+def test_negative_budget_flag_exit_2(cfg):
+    out = run_cli(["--config", cfg, "--budget", "-1", "axioms"])
+    assert out.returncode == 2, out.stderr
+    assert "--budget must be >= 0" in out.stderr
+
+
+@pytest.mark.parametrize("where, message", [("form", "float"), ("coeffs", "float"),
+                                            ("index", "unknown basis reference True")])
+def test_inexact_algebra_entry_exit_2(cfg, tmp_path, where, message):
+    # 0.1 has no exact binary value: it is refused, never read as 3602879701896397/2**55;
+    # a JSON true is not basis index 1
+    algebra = json.load(open(tmp_path / "sl2.json"))
+    if where == "form":
+        algebra["form"][0][1] = 0.1
+    elif where == "coeffs":
+        algebra["brackets"][0]["coeffs"]["h"] = 1.0
+    else:
+        algebra["brackets"][0]["i"] = True
+    (tmp_path / "sl2.json").write_text(json.dumps(algebra))
+    out = run_cli(["--config", cfg, "validate"])
+    assert out.returncode == 2, out.stderr
+    assert message in out.stderr and "Traceback" not in out.stderr
+
+
+def test_only_capped_findings_exit_3(tmp_path):
+    # seed 9 on r1: the random#2 triple's exponent search hits its cap of 8,
+    # and nothing fails, so there is no verdict rather than a failure
+    shutil.copy(os.path.join(ROOT, "configs", "sl2.json"), tmp_path / "sl2.json")
+    payload = json.load(open(os.path.join(ROOT, "configs", "session_sl2_r1.json")))
+    payload.update(checks=["axioms"], seed=9, output="rep.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(payload))
+    out = run_cli(["--config", str(tmp_path / "cfg.json"), "axioms"])
+    assert out.returncode == 3, out.stdout + out.stderr
+    assert "[CAP ] jacobi identity :: random#2" in out.stdout
+    assert "FAIL" not in out.stdout
+    assert "overall: no full verdict (caps exceeded)" in out.stdout
+    report = json.load(open(tmp_path / "rep.json"))
+    assert report["cap_exceeded"] and not report["ok"]
+
+
+@pytest.mark.parametrize("statuses, code", [(["pass", "cap_exceeded"], 3),
+                                            (["cap_exceeded", "fail"], 1),
+                                            (["pass"], 0)])
+def test_report_exit_code_ranks_failure_over_cap(cfg, tmp_path, statuses, code):
+    findings = [{"identity": "jacobi identity", "window": {}, "status": st, "witness": None,
+                 "detail": {}} for st in statuses]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"findings": findings}))
+    out = run_cli(["--config", cfg, "report", str(path)])
+    assert out.returncode == code, out.stdout + out.stderr
+    assert ("overall: FAIL" in out.stdout) == (code == 1)
+
+
+def test_cache_not_replayed_by_other_engine_code(cfg, tmp_path):
+    # a copy of the engine whose generator product table doubles the level
+    # term writes a failing verdict; the real engine must not replay it
+    copy = tmp_path / "engine"
+    shutil.copytree(os.path.join(ROOT, "src", "torva"), copy / "torva",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = copy / "torva" / "vertexops.py"
+    text = source.read_text()
+    term = "c = self.level * self.spec.pairing_basis(ai, bi)"
+    assert text.count(term) == 1
+    source.write_text(text.replace(term, "c = 2 * self.level * self.spec.pairing_basis(ai, bi)"))
+    payload = json.loads(open(cfg).read())
+    payload["checks"] = ["table"]
+    path = tmp_path / "cfg_table.json"
+    path.write_text(json.dumps(payload))
+    args = [sys.executable, "-m", "torva.cli", "--config", str(path),
+            "--cache", str(tmp_path / "cache.json"), "axioms"]
+    env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
+    broken = subprocess.run(args, capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert broken.returncode == 1, broken.stdout + broken.stderr
+    out = run_cli(args[3:])
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def test_mutate_mode(cfg):
