@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from torva import LieAlgebraSpec, ModeWindow, Session
+from torva.states import Memo
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -58,3 +59,22 @@ def small_window(session, m0=(-2, 2), box=(-1, 1), extra_states=()):
 def win_l1(session_l1):
     return small_window(session_l1,
                         extra_states=[session_l1.parse_state("f(-1;0) vac")])
+
+
+class _Forgetful(Memo):
+    """A memo table that stores nothing, so every lookup recomputes."""
+    __slots__ = ()
+
+    def put(self, key, value):
+        pass
+
+
+def forget_memos(session):
+    """Swap each of the session's seven memo tables for one that stores
+    nothing; returns the session."""
+    owners = (session, session.module, session.fields)
+    names = [(o, n) for o in owners for n, t in vars(o).items() if isinstance(t, Memo)]
+    assert len(names) == 7
+    for owner, name in names:
+        setattr(owner, name, _Forgetful())
+    return session

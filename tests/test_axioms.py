@@ -15,7 +15,7 @@ from torva.axioms import (AxiomChecker, _derivative_findings, _vacuum_ideal_find
                           check_weak_commutativity,
                           mutation_catalog, sample_state)
 
-from conftest import CONFIG_DIR, abelian_spec, sl2_spec, small_window
+from conftest import CONFIG_DIR, abelian_spec, forget_memos, sl2_spec, small_window
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +196,26 @@ def test_run_suite_subset(s, win):
     laws = {f.law for f in rep.findings}
     assert "generator product table" in laws
     assert "jacobi identity" not in laws
+
+
+def test_cache_cap_never_changes_a_report():
+    # no memo table changes a verdict: the benchmark's suite groups give the
+    # same report when all seven session tables store nothing
+    base = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    groups = ["table", "locality", "derivative", "transfer", "skew", "module-variant"]
+    reports = []
+    for forget in (False, True):
+        session = base.build_session()
+        if forget:
+            forget_memos(session)
+        win, = base.build_windows(session)
+        rep = run_suite(session, win, seed=1, checks=groups, samples=base.samples)
+        for f in rep.findings:
+            f.wall_ms = 0
+        reports.append(rep.to_json())
+    assert reports[0]["ok"]
+    assert reports[1] == reports[0]
+    assert len(session.fields._mode_cache) == 0 and session.fields._mode_cache.misses > 0
 
 
 def _keys_after(checks):
