@@ -10,8 +10,8 @@ from .fields import (FieldHandle, FieldSpace, GeneratedSpace, LocalityError,
                      ModeWindow, TerminationError)
 from .vertexops import Session, VacuumIdeal, echelonize, loop_affine_graded_dims
 from .axioms import (AxiomChecker, Finding, SuiteReport, check_jacobi,
-                     check_skew_symmetry, check_vacuum_expansion,
-                     check_weak_commutativity, run_mutation_suite, run_suite)
+                     check_skew_symmetry, check_vacuum_expansion, run_mutation_suite,
+                     run_suite)
 from .config import SessionConfig
 
 __version__ = "0.1.0"

@@ -2,9 +2,13 @@
 
 Every check reduces a formal-distribution identity to exact rational
 equalities of module elements over a finite window of mode indices and test
-states, and returns a machine-readable :class:`Finding`.  A pass certifies
-the identity on the window, never beyond; a failure carries the offending
-coefficient tuple and both side values, enough to reproduce it.
+states.  A check returns its witness: None on a pass, and on a failure a dict
+with the offending coefficient tuple and both side values, enough to
+reproduce it; an exponent search that hits its cap raises
+:class:`CapExceeded` with its own witness.  :func:`_finding` turns the result
+into a machine-readable :class:`Finding`.  A pass certifies the identity on
+the window, never beyond.  The check groups are one registry,
+:data:`GROUPS`, in report order.
 
 The main identity is checked through its two finite halves, weak
 commutativity
@@ -64,9 +68,24 @@ class Finding:
                 "wall_ms": self.wall_ms, "detail": self.detail}
 
 
+class CapExceeded(Exception):
+    """An exponent search hit its cap: no verdict, and ``witness`` says which
+    search and which cap."""
+
+    def __init__(self, witness: dict):
+        super().__init__(witness)
+        self.witness = witness
+
+
 def _finding(law, window, detail, fn) -> Finding:
+    """Run the check ``fn``: None is a pass, any dict (even ``{}``) is the
+    witness of a failure, and :class:`CapExceeded` is ``cap_exceeded``."""
     t0 = time.perf_counter()
-    status, witness = fn()
+    try:
+        witness = fn()
+        status = "pass" if witness is None else "fail"
+    except CapExceeded as exc:
+        status, witness = "cap_exceeded", exc.witness
     ms = int((time.perf_counter() - t0) * 1000)
     return Finding(law, window.describe(), status, witness, ms, detail)
 
@@ -136,18 +155,21 @@ class AxiomChecker:
 
     # -- the single-identity coefficient form (spot check) ----------------------------
 
-    def jacobi_coefficient_residual(self, u, v, w, p0, P, q0, Q, n):
+    def _residual(self, mode, product, u, v, w, p0, P, q0, Q, n) -> StateVector:
         """Difference of the two sides of the main identity at one coefficient
-        tuple; zero iff the identity holds there."""
-        sess = self.session
+        tuple, for the mode map ``mode(x, n0, N, t)`` and the product map
+        ``product(x, n0, N, y)``; zero iff the identity holds there.  With
+        the vertex modes and products it is the coefficient form; with the
+        collapsed one-variable modes of the vacuum ideal and () for the
+        multidegrees it is the ordinary Borcherds-style relation."""
         hi1 = w.max_degree() + v.max_degree() - 1 - q0
         hi2 = w.max_degree() + u.max_degree() - 1 - p0
         if n >= 0:
             hi1, hi2 = min(hi1, n), min(hi2, n)
-        lhs = component_sum(lambda n0, R, t: self.vm(u, p0 + n0, R, t), P,
-                            functools.partial(self.vm, v), mi_sub(Q, P), n, q0, w, hi1, hi2)
-        rhs = self._product_sum(u, v, n, p0, q0, lambda n0: sess.product(u, n0, P, v),
-                                lambda x, n0: self.vm(x, n0, Q, w))
+        lhs = component_sum(lambda n0, R, t: mode(u, p0 + n0, R, t), P,
+                            functools.partial(mode, v), mi_sub(Q, P), n, q0, w, hi1, hi2)
+        rhs = self._product_sum(u, v, n, p0, q0, lambda n0: product(u, n0, P, v),
+                                lambda x, n0: mode(x, n0, Q, w))
         return StateVector(lhs) - StateVector(rhs)
 
     # -- skew symmetry -------------------------------------------------------------------
@@ -219,7 +241,8 @@ class AxiomChecker:
                     twice = self._skew_transform(lambda *args: TF(*args, si),
                                                  a0, A, b0, B, max(bound - a0, 0))
                     if twice != F(a0, A, b0, B, si):
-                        return {"tuple": [a0, list(A), b0, list(B)], "state": si}
+                        return {"tuple": [a0, list(A), b0, list(B)], "state": si,
+                                "part": "involution"}
         return None
 
     # -- vacuum expansion trio ----------------------------------------------------------
@@ -263,23 +286,6 @@ class AxiomChecker:
 
     # -- the collapsed one-variable structure on the vacuum ideal -------------------------
 
-    def ordinary_jacobi_residual(self, u, v, w, p: int, q: int, n: int) -> StateVector:
-        """One-variable coefficient identity for tail-free states u, v applied
-        to w: the collapsed modes must satisfy the ordinary Borcherds-style
-        relation.  Returns LHS - RHS."""
-        sess = self.session
-        O = lambda x, n0, t: sess.ordinary_mode(x, n0, t, module=self.module)
-        hi1 = w.max_degree() + v.max_degree() - 1 - q
-        hi2 = w.max_degree() + u.max_degree() - 1 - p
-        if n >= 0:
-            hi1, hi2 = min(hi1, n), min(hi2, n)
-        lhs = component_sum(lambda n0, _, t: O(u, p + n0, t), None,
-                            lambda n0, _, t: O(v, n0, t), None, n, q, w, hi1, hi2)
-        rhs = self._product_sum(u, v, n, p, q,
-                                lambda n0: sess.ordinary_mode(u, n0, v),  # stays tail-free
-                                lambda x, n0: O(x, n0, w))
-        return StateVector(lhs) - StateVector(rhs)
-
     def ordinary_creation_witness(self, u, window: ModeWindow):
         """Collapsed operators have the full creation property on the ideal:
         nonnegative modes kill the cyclic vector and the constant term of the
@@ -309,7 +315,7 @@ class AxiomChecker:
                 if lhs != rhs:
                     return {"n0": n0, "state": si,
                             "lhs": state_to_json(sess.spec, lhs),
-                            "rhs": state_to_json(sess.spec, rhs)}
+                            "rhs": state_to_json(sess.spec, rhs), "part": "derivative"}
         return None
 
     # -- mixed-index commutator --------------------------------------------------------
@@ -335,18 +341,6 @@ class AxiomChecker:
 # ---------------------------------------------------------------------------
 # Finding-producing wrappers.
 
-def check_weak_commutativity(checker, u, v, k, window, label="") -> Finding:
-    def run():
-        fs = checker.session.fields
-        hit = fs.locality_passes_at(checker.field(u), checker.field(v), k, window)
-        if hit is None:
-            return "pass", None
-        p0, p, q0, q, si, residual = hit
-        return "fail", {"tuple": [p0, list(p), q0, list(q)], "state": si,
-                        "residual": state_to_json(checker.session.spec, residual)}
-    return _finding("weak commutativity", window, {"k": k, "states": label}, run)
-
-
 def check_jacobi(checker, u, v, w, window, rng=None, spot_checks=10, label="") -> Finding:
     """Main identity via its two finite halves, with exponents found by
     upward search up to 8, plus randomized coefficient-form spot checks."""
@@ -354,25 +348,22 @@ def check_jacobi(checker, u, v, w, window, rng=None, spot_checks=10, label="") -
     cap = 8
 
     def run():
-        checker.session.empty_working_sets()  # they hold one triple
-        k = checker.session.fields.locality_order(checker.field(u), checker.field(v),
-                                                  window, cap)
-        if k is None:
-            return "cap_exceeded", {"part": "commutativity", "cap": cap}
-        l = checker.find_associativity_order(u, v, w, window, cap)
-        if l is None:
-            return "cap_exceeded", {"part": "associativity", "cap": cap}
+        sess = checker.session
+        sess.empty_working_sets()  # they hold one triple
+        if sess.fields.locality_order(checker.field(u), checker.field(v), window, cap) is None:
+            raise CapExceeded({"part": "commutativity", "cap": cap})
+        if checker.find_associativity_order(u, v, w, window, cap) is None:
+            raise CapExceeded({"part": "associativity", "cap": cap})
         modes = list(window.modes())
         for _ in range(spot_checks):
             (p0, P) = rng.choice(modes)
             (q0, Q) = rng.choice(modes)
             n = rng.randrange(window.m0_lo, window.m0_hi + 1)
-            res = checker.jacobi_coefficient_residual(u, v, w, p0, P, q0, Q, n)
+            res = checker._residual(checker.vm, sess.product, u, v, w, p0, P, q0, Q, n)
             if res:
-                return "fail", {"part": "coefficient-form",
-                                "tuple": [p0, list(P), q0, list(Q), n],
-                                "residual": state_to_json(checker.session.spec, res)}
-        return "pass", None
+                return {"part": "coefficient-form", "tuple": [p0, list(P), q0, list(Q), n],
+                        "residual": state_to_json(sess.spec, res)}
+        return None
 
     return _finding("jacobi identity", window, {"cap": cap, "states": label}, run)
 
@@ -381,29 +372,19 @@ def check_skew_symmetry(checker, u, v, window, label="") -> Finding:
     def run():
         checker.session.empty_working_sets()  # they hold one pair
         wtn = checker.skew_symmetry_witness(u, v, window)
-        if wtn is not None:
-            return "fail", wtn
-        wtn = checker.skew_involution_witness(u, v, window)
-        if wtn is not None:
-            wtn["part"] = "involution"
-            return "fail", wtn
-        return "pass", None
+        return wtn if wtn is not None else checker.skew_involution_witness(u, v, window)
     return _finding("skew symmetry", window, {"states": label}, run)
 
 
 def check_vacuum_expansion(checker, u, window, label="") -> Finding:
-    def run():
-        wtn = checker.vacuum_expansion_witness(u, window)
-        return ("pass", None) if wtn is None else ("fail", wtn)
-    return _finding("vacuum expansion", window, {"states": label}, run)
+    return _finding("vacuum expansion", window, {"states": label},
+                    lambda: checker.vacuum_expansion_witness(u, window))
 
 
 def check_creation(session, v, window, label="") -> Finding:
     def run():
         bad = session.creation_failures(v, window)
-        if bad:
-            return "fail", {"modes": [[n0, list(n)] for n0, n in bad]}
-        return "pass", None
+        return {"modes": [[n0, list(n)] for n0, n in bad]} if bad else None
     return _finding("creation property", window, {"states": label}, run)
 
 
@@ -464,12 +445,9 @@ class SuiteReport:
 
 
 def _lie_findings(session: Session, window: ModeWindow, rng, samples: int) -> list:
-    out = []
-
     def run_validate():
         rep = validate_lie_spec(session.spec)
-        return ("pass", None) if rep.ok else ("fail", rep.to_json())
-    out.append(_finding("lie algebra hypotheses", window, {}, run_validate))
+        return None if rep.ok else rep.to_json()
 
     def run_jacobi():
         for t in range(samples):
@@ -477,9 +455,8 @@ def _lie_findings(session: Session, window: ModeWindow, rng, samples: int) -> li
             br = session.algebra.bracket
             total = br(br(x, y), z) + br(br(y, z), x) + br(br(z, x), y)
             if not total.is_zero():
-                return "fail", {"triple": [repr(x), repr(y), repr(z)], "residual": repr(total)}
-        return "pass", None
-    out.append(_finding("loop-algebra jacobi", window, {"samples": samples}, run_jacobi))
+                return {"triple": [repr(x), repr(y), repr(z)], "residual": repr(total)}
+        return None
 
     def run_derivation():
         for t in range(samples // 2 or 1):
@@ -490,16 +467,18 @@ def _lie_findings(session: Session, window: ModeWindow, rng, samples: int) -> li
                 lhs = br(d, br(x, y))
                 rhs = br(br(d, x), y) + br(x, br(d, y))
                 if lhs != rhs:
-                    return "fail", {"i": i, "pair": [repr(x), repr(y)]}
-        return "pass", None
-    out.append(_finding("derivation property", window, {"samples": samples // 2 or 1}, run_derivation))
-    return out
+                    return {"i": i, "pair": [repr(x), repr(y)]}
+        return None
+
+    return [_finding("lie algebra hypotheses", window, {}, run_validate),
+            _finding("loop-algebra jacobi", window, {"samples": samples}, run_jacobi),
+            _finding("derivation property", window, {"samples": samples // 2 or 1},
+                     run_derivation)]
 
 
 def _module_findings(session: Session, window: ModeWindow, rng, samples: int,
                      module=None, tag="vacuum module") -> list:
     mod = module or session.module
-    out = []
 
     def run_law():
         for t in range(samples):
@@ -508,10 +487,8 @@ def _module_findings(session: Session, window: ModeWindow, rng, samples: int,
             lhs = mod.act_elem(x, mod.act_elem(y, w)) - mod.act_elem(y, mod.act_elem(x, w))
             rhs = mod.act_elem(session.algebra.bracket(x, y), w)
             if lhs != rhs:
-                return "fail", {"pair": [repr(x), repr(y)],
-                                "state": state_to_json(session.spec, w)}
-        return "pass", None
-    out.append(_finding("module law", window, {"states": tag, "samples": samples}, run_law))
+                return {"pair": [repr(x), repr(y)], "state": state_to_json(session.spec, w)}
+        return None
 
     def run_grading():
         for t in range(samples):
@@ -522,9 +499,8 @@ def _module_findings(session: Session, window: ModeWindow, rng, samples: int,
             n = tuple(rng.randrange(lo, hi + 1) for lo, hi in window.m_box)
             img = mod.act(a, n0, n, w)
             if img and img.degrees() != [d - n0]:
-                return "fail", {"mode": [n0, list(n)], "degrees": img.degrees(), "expected": d - n0}
-        return "pass", None
-    out.append(_finding("grading shift", window, {"states": tag, "samples": samples}, run_grading))
+                return {"mode": [n0, list(n)], "degrees": img.degrees(), "expected": d - n0}
+        return None
 
     def run_restricted():
         for st in window.states:
@@ -533,10 +509,12 @@ def _module_findings(session: Session, window: ModeWindow, rng, samples: int,
                 for n in window.m_values():
                     for n0 in range(d + 1, d + 4):
                         if mod.act(a, n0, n, st):
-                            return "fail", {"mode": [n0, list(n)], "witness": d}
-        return "pass", None
-    out.append(_finding("restrictedness witness", window, {"states": tag}, run_restricted))
-    return out
+                            return {"mode": [n0, list(n)], "witness": d}
+        return None
+
+    return [_finding("module law", window, {"states": tag, "samples": samples}, run_law),
+            _finding("grading shift", window, {"states": tag, "samples": samples}, run_grading),
+            _finding("restrictedness witness", window, {"states": tag}, run_restricted)]
 
 
 def _product_table_findings(session: Session, window: ModeWindow,
@@ -544,7 +522,6 @@ def _product_table_findings(session: Session, window: ModeWindow,
     """Generator products against their closed form; expectations may come
     from a pristine session when the acting one is mutated."""
     exp = expect_session or session
-    out = []
 
     def run():
         for a in session.spec.basis:
@@ -554,12 +531,11 @@ def _product_table_findings(session: Session, window: ModeWindow,
                         got = session.product(session.tail(a), m0, m, session.tail(b))
                         want = exp.expected_generator_product(a, m0, b)
                         if got != want:
-                            return "fail", {"pair": [a, b], "mode": [m0, list(m)],
-                                            "lhs": state_to_json(session.spec, got),
-                                            "rhs": state_to_json(session.spec, want)}
-        return "pass", None
-    out.append(_finding("generator product table", window, {}, run))
-    return out
+                            return {"pair": [a, b], "mode": [m0, list(m)],
+                                    "lhs": state_to_json(session.spec, got),
+                                    "rhs": state_to_json(session.spec, want)}
+        return None
+    return [_finding("generator product table", window, {}, run)]
 
 
 def expected_locality(session: Session, a, b) -> tuple:
@@ -575,8 +551,6 @@ def expected_locality(session: Session, a, b) -> tuple:
 
 
 def _locality_findings(session: Session, window: ModeWindow) -> list:
-    out = []
-
     def run():
         for a in session.spec.basis:
             for b in session.spec.basis:
@@ -584,20 +558,18 @@ def _locality_findings(session: Session, window: ModeWindow) -> list:
                 k = session.fields.locality_order(ha, hb, window)
                 kind, val = expected_locality(session, a, b)
                 if k is None:
-                    return "fail", {"pair": [a, b], "order": "exceeds bound"}
+                    return {"pair": [a, b], "order": "exceeds bound"}
                 if kind == "exact" and k != val:
-                    return "fail", {"pair": [a, b], "order": k, "expected": val}
+                    return {"pair": [a, b], "order": k, "expected": val}
                 if kind == "at_most" and k > val:
-                    return "fail", {"pair": [a, b], "order": k, "expected_at_most": val}
-        return "pass", None
-    out.append(_finding("generator locality orders", window, {}, run))
-    return out
+                    return {"pair": [a, b], "order": k, "expected_at_most": val}
+        return None
+    return [_finding("generator locality orders", window, {}, run)]
 
 
 def _oracle_findings(session: Session, window: ModeWindow, rng, pairs: int) -> list:
     """Recursion-vs-residue-oracle agreement for generator pairs on all window
     modes and for sampled deeper pairs."""
-    out = []
     fs = session.fields
     currents = [fs.current(a) for a in session.spec.basis]
 
@@ -611,11 +583,10 @@ def _oracle_findings(session: Session, window: ModeWindow, rng, pairs: int) -> l
                             got = fs.mode(prod, k0, k, w)
                             want = fs.residue_oracle_mode(ha, m0, m, hb, k0, k, w)
                             if got != want:
-                                return "fail", {"pair": [ha.label, hb.label],
-                                                "product_mode": [m0, list(m)],
-                                                "mode": [k0, list(k)], "state": si}
-        return "pass", None
-    out.append(_finding("product oracle equivalence", window, {"scope": "generators"}, run_generators))
+                                return {"pair": [ha.label, hb.label],
+                                        "product_mode": [m0, list(m)],
+                                        "mode": [k0, list(k)], "state": si}
+        return None
 
     def run_deep():
         modes = list(window.modes())
@@ -630,10 +601,11 @@ def _oracle_findings(session: Session, window: ModeWindow, rng, pairs: int) -> l
                 (k0, k) = rng.choice(modes)
                 w = rng.choice(window.states)
                 if fs.mode(prod, k0, k, w) != fs.residue_oracle_mode(deep, p0, p, other, k0, k, w):
-                    return "fail", {"pair": [deep.label, other.label], "mode": [k0, list(k)]}
-        return "pass", None
-    out.append(_finding("product oracle equivalence", window, {"scope": f"{pairs} deep pairs"}, run_deep))
-    return out
+                    return {"pair": [deep.label, other.label], "mode": [k0, list(k)]}
+        return None
+
+    return [_finding("product oracle equivalence", window, {"scope": "generators"}, run_generators),
+            _finding("product oracle equivalence", window, {"scope": f"{pairs} deep pairs"}, run_deep)]
 
 
 def _derivative_findings(session: Session, window: ModeWindow) -> list:
@@ -643,7 +615,6 @@ def _derivative_findings(session: Session, window: ModeWindow) -> list:
     only within its own generator pair, so the session's working sets are
     emptied when the check moves to the next pair."""
     fs = session.fields
-    out = []
 
     def run():
         currents = [fs.current(a) for a in session.spec.basis]
@@ -663,12 +634,10 @@ def _derivative_findings(session: Session, window: ModeWindow) -> list:
                     for (k0, k) in window.modes():
                         for w in window.states:
                             if fs.mode(lhs, k0, k, w) != fs.mode(ref, k0, k, w).scaled(scale):
-                                return "fail", {"pair": [ha.label, hb.label], "i": i,
-                                                "product_mode": [m0, list(m)],
-                                                "mode": [k0, list(k)]}
-        return "pass", None
-    out.append(_finding("derivative shift relations", window, {}, run))
-    return out
+                                return {"pair": [ha.label, hb.label], "i": i,
+                                        "product_mode": [m0, list(m)], "mode": [k0, list(k)]}
+        return None
+    return [_finding("derivative shift relations", window, {}, run)]
 
 
 def _transfer_findings(session: Session, window: ModeWindow) -> list:
@@ -676,7 +645,6 @@ def _transfer_findings(session: Session, window: ModeWindow) -> list:
     order-0 coefficient is the bracket current, the order-1 coefficient is
     level times the pairing, everything above vanishes."""
     fs = session.fields
-    out = []
 
     def run():
         one = fs.identity()
@@ -691,9 +659,45 @@ def _transfer_findings(session: Session, window: ModeWindow) -> list:
                     coeffs = [c0, fs.linear_combination([(one, c1coef)])]
                     ok, fails = fs.transfer_check(ha, hb, coeffs, m, window)
                     if not ok:
-                        return "fail", {"pair": [a, b], "m": list(m), "failures": fails[:3]}
-        return "pass", None
-    out.append(_finding("commutator-to-product transfer", window, {}, run))
+                        return {"pair": [a, b], "m": list(m), "failures": fails[:3]}
+        return None
+    return [_finding("commutator-to-product transfer", window, {}, run)]
+
+
+def _axiom_findings(session: Session, window: ModeWindow, rng, samples: int) -> list:
+    """The main identity on every generator triple and on sampled triples,
+    then the mixed-index commutator on sampled window tuples; each random
+    triple is drawn before its check draws its spot checks."""
+    checker = AxiomChecker(session)
+    gens = [(b, session.tail(b)) for b in session.spec.basis]
+    out = [check_jacobi(checker, u, v, w, window, rng=rng, label=f"({la},{lb},{lc})")
+           for (la, u), (lb, v), (lc, w) in itertools.product(gens, repeat=3)]
+    for t in range(max(2, samples // 4)):
+        u, v, w = (sample_state(session, rng, window) for _ in range(3))
+        out.append(check_jacobi(checker, u, v, w, window, rng=rng, label=f"random#{t}"))
+    out.append(_finding("mixed-index commutator", window, {},
+                        lambda: None if checker.commutator_slice_witness(
+                            gens[0][1], gens[-1][1], window, 10, rng) is None else {}))
+    return out
+
+
+def _skew_findings(session: Session, window: ModeWindow) -> list:
+    checker = AxiomChecker(session)
+    gens = [(b, session.tail(b)) for b in session.spec.basis]
+    return [check_skew_symmetry(checker, u, v, window, label=f"({la},{lb})")
+            for (la, u), (lb, v) in itertools.product(gens, repeat=2)]
+
+
+def _vacuum_findings(session: Session, window: ModeWindow, rng) -> list:
+    """Vacuum expansion and creation for each generator tail and three
+    sampled states."""
+    checker = AxiomChecker(session)
+    states = [(b, session.tail(b)) for b in session.spec.basis]
+    states += [(f"random#{t}", sample_state(session, rng, window)) for t in range(3)]
+    out = []
+    for label, u in states:
+        out += [check_vacuum_expansion(checker, u, window, label=label),
+                check_creation(session, u, window, label=label)]
     return out
 
 
@@ -709,7 +713,7 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, rng,
         ideal = session.build_vacuum_ideal(window.depth, window)
         ideal_holder["ideal"] = ideal
         if not ideal.tail_free():
-            return "fail", {"part": "tails leaked into the ideal"}
+            return {"part": "tails leaked into the ideal"}
         kmax = -window.m0_lo
         box = 1
         for lo, hi in window.m_box:
@@ -719,8 +723,8 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, rng,
         got = {d: ideal.graded_dims.get(d, 0) for d in range(window.depth + 1)}
         want = {d: counts[d] for d in range(window.depth + 1)}
         if got != want:
-            return "fail", {"got": got, "want": want}
-        return "pass", None
+            return {"got": got, "want": want}
+        return None
     out.append(_finding("vacuum-ideal graded dimensions", window, {"depth": window.depth}, run_dims))
 
     def run_affine_commutator():
@@ -756,10 +760,9 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, rng,
                                         c = p0 * session.spec.pairing_basis(a, b) * session.level
                                         rhs = rhs + w.scaled(c)
                                     if lhs != rhs:
-                                        return "fail", {"pair": [labels[a], labels[b]],
-                                                        "m": list(m), "n": list(n),
-                                                        "modes": [p0, q0]}
-        return "pass", None
+                                        return {"pair": [labels[a], labels[b]],
+                                                "m": list(m), "n": list(n), "modes": [p0, q0]}
+        return None
     out.append(_finding("vacuum-ideal affine commutators", window, {}, run_affine_commutator))
 
     def run_reconstruction():
@@ -776,12 +779,12 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, rng,
                     through = (session.ordinary_mode(piece, n0, w)
                                if piece and piece.is_tail_free() else ZERO_STATE)
                     if piece and not piece.is_tail_free():
-                        return "fail", {"part": "product against vacuum left the ideal"}
+                        return {"part": "product against vacuum left the ideal"}
                     if direct != through:
-                        return "fail", {"mode": [n0, list(n)],
-                                        "lhs": state_to_json(session.spec, direct),
-                                        "rhs": state_to_json(session.spec, through)}
-        return "pass", None
+                        return {"mode": [n0, list(n)],
+                                "lhs": state_to_json(session.spec, direct),
+                                "rhs": state_to_json(session.spec, through)}
+        return None
     out.append(_finding("vacuum-ideal reconstruction", window, {}, run_reconstruction))
 
     def run_support():
@@ -794,8 +797,8 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, rng,
                 continue
             bad = session.homogeneous_support_failures(st, window)
             if bad:
-                return "fail", {"state": label, "offending": bad[:3]}
-        return "pass", None
+                return {"state": label, "offending": bad[:3]}
+        return None
     out.append(_finding("vacuum-ideal single-degree support", window, {}, run_support))
 
     checker = AxiomChecker(session)
@@ -812,133 +815,77 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, rng,
 
     def run_ordinary_jacobi():
         seeds = ideal_samples()
+        O = lambda x, n0, _, t: session.ordinary_mode(x, n0, t)  # no multidegree slot
         for t in range(12):
             u, v = rng.choice(seeds), rng.choice(seeds)
             w = rng.choice(window.states)
             p = rng.randrange(window.m0_lo, window.m0_hi + 1)
             q = rng.randrange(window.m0_lo, window.m0_hi + 1)
             n = rng.randrange(window.m0_lo, window.m0_hi + 1)
-            res = checker.ordinary_jacobi_residual(u, v, w, p, q, n)
+            res = checker._residual(O, O, u, v, w, p, (), q, (), n)
             if res:
-                return "fail", {"tuple": [p, q, n],
-                                "residual": state_to_json(session.spec, res)}
-        return "pass", None
+                return {"tuple": [p, q, n], "residual": state_to_json(session.spec, res)}
+        return None
     out.append(_finding("vacuum-ideal one-variable jacobi", window, {}, run_ordinary_jacobi))
 
     def run_ordinary_creation():
         for u in ideal_samples():
             wtn = checker.ordinary_creation_witness(u, window)
+            if wtn is None:
+                wtn = checker.ordinary_derivative_witness(u, window)
             if wtn is not None:
-                return "fail", wtn
-            wtn = checker.ordinary_derivative_witness(u, window)
-            if wtn is not None:
-                wtn["part"] = "derivative"
-                return "fail", wtn
-        return "pass", None
+                return wtn
+        return None
     out.append(_finding("vacuum-ideal creation and derivative", window, {}, run_ordinary_creation))
     return out
 
 
-# Check groups in report order.
-CHECK_GROUPS = ("lie", "module", "table", "locality", "oracle", "derivative",
-                "transfer", "axioms", "skew", "vacuum", "ideal", "module-variant")
+def _module_variant_findings(session: Session, window: ModeWindow, rng, samples: int) -> list:
+    """The module checks and one Jacobi triple on the vacuum module twisted by
+    a unit shift of the first toroidal degree."""
+    shift = tuple([1] + [0] * (session.r - 1))
+    mod = ShiftedModule(session.module, shift)
+    out = _module_findings(session, window, rng, samples, module=mod,
+                           tag=f"shifted module {shift}")
+    gens = [session.tail(b) for b in session.spec.basis]
+    out.append(check_jacobi(AxiomChecker(session, module=mod), gens[0], gens[-1], gens[0],
+                            window, rng=rng, label="shifted module"))
+    return out
+
+
+# Check groups in report order: name -> builder(session, window, rng, samples).
+GROUPS = {
+    "lie": lambda s, win, rng, samples: _lie_findings(s, win, rng, max(samples, 100)),
+    "module": _module_findings,
+    "table": lambda s, win, rng, samples: _product_table_findings(s, win),
+    "locality": lambda s, win, rng, samples: _locality_findings(s, win),
+    "oracle": lambda s, win, rng, samples: _oracle_findings(s, win, rng, max(4, samples // 4)),
+    "derivative": lambda s, win, rng, samples: _derivative_findings(s, win),
+    "transfer": lambda s, win, rng, samples: _transfer_findings(s, win),
+    "axioms": _axiom_findings,
+    "skew": lambda s, win, rng, samples: _skew_findings(s, win),
+    "vacuum": lambda s, win, rng, samples: _vacuum_findings(s, win, rng),
+    "ideal": lambda s, win, rng, samples: _vacuum_ideal_findings(s, win, rng),
+    "module-variant": _module_variant_findings,
+}
+CHECK_GROUPS = tuple(GROUPS)
 
 
 def run_suite(session: Session, window: ModeWindow, seed: int = 0,
               checks: Optional[Sequence[str]] = None, samples: int = 20) -> SuiteReport:
-    """Run the check groups named in ``checks`` (default: all) over one window
-    and aggregate their findings; the vacuum ideal is built to ``window.depth``."""
-    selected = set(CHECK_GROUPS if checks is None else checks)
-    unknown = selected - set(CHECK_GROUPS)
+    """Run the check groups named in ``checks`` (default: all) over one window,
+    in :data:`GROUPS` order, and aggregate their findings; the vacuum ideal is
+    built to ``window.depth``.  Each group draws from its own stream, seeded by
+    ``seed`` and the group's name, so its findings do not depend on which other
+    groups run or in what order."""
+    selected = set(GROUPS if checks is None else checks)
+    unknown = selected - set(GROUPS)
     if unknown:
         raise ValueError(f"unknown check groups: {sorted(unknown)}")
-
-    def group_rng(name: str) -> random.Random:
-        # one stream per group, so a group's findings do not depend on which
-        # other groups run or in what order
-        return random.Random(f"{seed}:{name}")
-
-    tasks = []
-    if "lie" in selected:
-        tasks.append(lambda: _lie_findings(session, window, group_rng("lie"), max(samples, 100)))
-    if "module" in selected:
-        tasks.append(lambda: _module_findings(session, window, group_rng("module"), samples))
-    if "table" in selected:
-        tasks.append(lambda: _product_table_findings(session, window))
-    if "locality" in selected:
-        tasks.append(lambda: _locality_findings(session, window))
-    if "oracle" in selected:
-        tasks.append(lambda: _oracle_findings(session, window, group_rng("oracle"), max(4, samples // 4)))
-    if "derivative" in selected:
-        tasks.append(lambda: _derivative_findings(session, window))
-    if "transfer" in selected:
-        tasks.append(lambda: _transfer_findings(session, window))
-    if "axioms" in selected:
-        def axiom_tasks():
-            rng = group_rng("axioms")
-            checker = AxiomChecker(session)
-            out = []
-            gens = [(b, session.tail(b)) for b in session.spec.basis]
-            for la, u in gens:
-                for lb, v in gens:
-                    for lc, w in gens:
-                        out.append(check_jacobi(checker, u, v, w, window,
-                                                rng=rng, label=f"({la},{lb},{lc})"))
-            for t in range(max(2, samples // 4)):
-                u = sample_state(session, rng, window)
-                v = sample_state(session, rng, window)
-                w = sample_state(session, rng, window)
-                out.append(check_jacobi(checker, u, v, w, window, rng=rng,
-                                        label=f"random#{t}"))
-            out.append(_finding("mixed-index commutator", window, {},
-                                lambda: (("pass", None)
-                                         if checker.commutator_slice_witness(
-                                             gens[0][1], gens[-1][1], window, 10, rng) is None
-                                         else ("fail", {}))))
-            return out
-        tasks.append(axiom_tasks)
-    if "skew" in selected:
-        def skew_tasks():
-            checker = AxiomChecker(session)
-            out = []
-            for la, u in [(b, session.tail(b)) for b in session.spec.basis]:
-                for lb, v in [(b, session.tail(b)) for b in session.spec.basis]:
-                    out.append(check_skew_symmetry(checker, u, v, window, label=f"({la},{lb})"))
-            return out
-        tasks.append(skew_tasks)
-    if "vacuum" in selected:
-        def vacuum_tasks():
-            rng = group_rng("vacuum")
-            checker = AxiomChecker(session)
-            out = []
-            for b in session.spec.basis:
-                out.append(check_vacuum_expansion(checker, session.tail(b), window, label=b))
-                out.append(check_creation(session, session.tail(b), window, label=b))
-            for t in range(3):
-                u = sample_state(session, rng, window)
-                out.append(check_vacuum_expansion(checker, u, window, label=f"random#{t}"))
-                out.append(check_creation(session, u, window, label=f"random#{t}"))
-            return out
-        tasks.append(vacuum_tasks)
-    if "ideal" in selected:
-        tasks.append(lambda: _vacuum_ideal_findings(session, window, group_rng("ideal")))
-    if "module-variant" in selected:
-        def variant_tasks():
-            rng = group_rng("module-variant")
-            shift = tuple([1] + [0] * (session.r - 1))
-            mod = ShiftedModule(session.module, shift)
-            out = _module_findings(session, window, rng, samples, module=mod,
-                                   tag=f"shifted module {shift}")
-            checker = AxiomChecker(session, module=mod)
-            gens = [session.tail(b) for b in session.spec.basis]
-            out.append(check_jacobi(checker, gens[0], gens[-1], gens[0], window,
-                                    rng=rng, label="shifted module"))
-            return out
-        tasks.append(variant_tasks)
-
     findings = []
-    for fn in tasks:
-        findings.extend(fn())
+    for name, build in GROUPS.items():
+        if name in selected:
+            findings.extend(build(session, window, random.Random(f"{seed}:{name}"), samples))
     return SuiteReport(findings)
 
 
@@ -1001,13 +948,13 @@ def run_mutation_suite(session: Session, window: ModeWindow, seed: int = 0) -> S
     rng = random.Random(seed)
     findings = []
     for name, mutated in mutation_catalog(session):
-        t0 = time.perf_counter()
-        caught = detect_mutation(session, mutated, window, rng)
-        ms = int((time.perf_counter() - t0) * 1000)
-        if caught:
-            findings.append(Finding("mutation detected", window.describe(), "pass",
-                                    None, ms, {"mutation": name, "caught_by": caught}))
-        else:
-            findings.append(Finding("mutation detected", window.describe(), "fail",
-                                    {"mutation": name}, ms, {"mutation": name}))
+        detail = {"mutation": name}
+
+        def run():
+            caught = detect_mutation(session, mutated, window, rng)
+            if caught:
+                detail["caught_by"] = caught
+                return None
+            return {"mutation": name}
+        findings.append(_finding("mutation detected", window, detail, run))
     return SuiteReport(findings)

@@ -12,7 +12,6 @@ import pytest
 from torva import ModeWindow, Session, SessionConfig, run_mutation_suite, run_suite
 from torva.axioms import (AxiomChecker, _derivative_findings, _vacuum_ideal_findings,
                           check_jacobi, check_skew_symmetry, check_vacuum_expansion,
-                          check_weak_commutativity,
                           mutation_catalog, sample_state)
 
 from conftest import CONFIG_DIR, abelian_spec, forget_memos, sl2_spec, small_window
@@ -116,7 +115,7 @@ def test_jacobi_coefficient_form_consistency(s, ch, win):
         (p0, P) = rng.choice(modes)
         (q0, Q) = rng.choice(modes)
         n = rng.randrange(-2, 3)
-        assert ch.jacobi_coefficient_residual(u, v, w, p0, P, q0, Q, n).is_zero()
+        assert ch._residual(ch.vm, s.product, u, v, w, p0, P, q0, Q, n).is_zero()
 
 
 def test_jacobi_cross_level_mismatch_detected(s, win):
@@ -527,11 +526,12 @@ def test_ordinary_jacobi_on_ideal(s, ch, win):
              s.product(s.tail("e"), -1, (0,), vac),
              s.product(s.tail("f"), -1, (1,), vac),
              s.product(s.tail("h"), -2, (-1,), vac)]
+    O = lambda x, n0, _, t: s.ordinary_mode(x, n0, t)
     for _ in range(15):
         u, v = rng.choice(seeds), rng.choice(seeds)
         w = rng.choice(win.states)
         p, q, n = (rng.randrange(-2, 3) for _ in range(3))
-        assert ch.ordinary_jacobi_residual(u, v, w, p, q, n).is_zero(), (p, q, n)
+        assert ch._residual(O, O, u, v, w, p, (), q, (), n).is_zero(), (p, q, n)
 
 
 def test_ordinary_creation_and_constant_term(s, ch, win):
@@ -556,10 +556,3 @@ def test_sample_state_small(s, win):
         assert not st.is_zero()
         assert st.max_degree() <= 2 * 2 + 1
 
-
-def test_check_weak_commutativity_reports_the_residual(s, ch, win):
-    e, f = s.tail("e"), s.tail("f")
-    assert check_weak_commutativity(ch, e, f, 2, win).ok
-    fnd = check_weak_commutativity(ch, e, f, 1, win)
-    assert fnd.status == "fail"
-    assert set(fnd.witness) == {"tuple", "state", "residual"} and fnd.witness["residual"]

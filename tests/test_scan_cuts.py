@@ -64,7 +64,8 @@ def uncut_skew_involution(ch, u, v, window):
                 twice = ch._skew_transform(lambda *args: TF(*args, si),
                                            a0, A, b0, B, max(bound - a0, 0))
                 if twice != F(a0, A, b0, B, si):
-                    return {"tuple": [a0, list(A), b0, list(B)], "state": si}
+                    return {"tuple": [a0, list(A), b0, list(B)], "state": si,
+                            "part": "involution"}
     return None
 
 
