@@ -657,8 +657,8 @@ def _transfer_findings(session: Session, window: ModeWindow) -> list:
                         [(fs.current(k), c) for k, c in sorted(session.spec.bracket_basis(ai, bi).items())])
                     c1coef = session.level * session.spec.pairing_basis(ai, bi)
                     coeffs = [c0, fs.linear_combination([(one, c1coef)])]
-                    ok, fails = fs.transfer_check(ha, hb, coeffs, m, window)
-                    if not ok:
+                    fails = fs.transfer_check(ha, hb, coeffs, m, window)
+                    if fails:
                         return {"pair": [a, b], "m": list(m), "failures": fails[:3]}
         return None
     return [_finding("commutator-to-product transfer", window, {}, run)]
@@ -675,9 +675,9 @@ def _axiom_findings(session: Session, window: ModeWindow, rng, samples: int) -> 
     for t in range(max(2, samples // 4)):
         u, v, w = (sample_state(session, rng, window) for _ in range(3))
         out.append(check_jacobi(checker, u, v, w, window, rng=rng, label=f"random#{t}"))
+    first, last = gens[0][1], gens[-1][1]
     out.append(_finding("mixed-index commutator", window, {},
-                        lambda: None if checker.commutator_slice_witness(
-                            gens[0][1], gens[-1][1], window, 10, rng) is None else {}))
+                        lambda: checker.commutator_slice_witness(first, last, window, 10, rng)))
     return out
 
 

@@ -230,10 +230,8 @@ def cmd_v0(cfg: SessionConfig, args) -> int:
     if out:
         with open(out, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
-    for line in report.summary_lines():
-        print(line)
     print("graded dims:", payload["graded_dims"])
-    return EXIT_PASS if report.ok else EXIT_MATH_FAIL
+    return _verdict(report)
 
 
 def cmd_report(cfg, args) -> int:

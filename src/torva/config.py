@@ -27,24 +27,12 @@ from typing import Optional
 
 from .axioms import CHECK_GROUPS
 from .fields import ModeWindow
-from .liecore import LieAlgebraSpec, SpecFormatError, frac
+from .liecore import LieAlgebraSpec, SpecFormatError, _integer, frac
 from .vertexops import Session
 
 
 _FIELDS = ("algebra", "r", "level", "windows", "seed", "samples", "budget", "checks",
            "output", "depth", "locality_bound")
-
-
-def _integer(name: str, value, low=None) -> int:
-    """``value`` as an int: a JSON integer, or a float with an integral value;
-    anything else, or a value below ``low``, is a config error."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int:
-        raise SpecFormatError(f"config field {name!r} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise SpecFormatError(f"config field {name!r} must be >= {low}, got {value}")
-    return value
 
 
 @dataclass

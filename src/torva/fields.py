@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .liecore import SpecFormatError, mi_sub, mi_zero
+from .liecore import SpecFormatError, _integer, mi_sub, mi_zero
 from .series import binom, expand_minus_y_plus_x, expand_x_minus_y, series_multiply
 from .states import Memo, StateVector, ZERO_STATE, _accumulate
 
@@ -67,10 +67,10 @@ class ModeWindow:
     def __init__(self, m0_range, m_box, states: Sequence[StateVector],
                  locality_bound: int = 8, depth: int = 2):
         try:
-            self.m0_lo, self.m0_hi = int(m0_range[0]), int(m0_range[1])
-            self.m_box = tuple((int(lo), int(hi)) for lo, hi in m_box)
-            self.locality_bound = int(locality_bound)
-            self.depth = int(depth)
+            self.m0_lo, self.m0_hi = _integer("m0", m0_range[0]), _integer("m0", m0_range[1])
+            self.m_box = tuple((_integer("m", lo), _integer("m", hi)) for lo, hi in m_box)
+            self.locality_bound = _integer("locality_bound", locality_bound)
+            self.depth = _integer("depth", depth)
         except (TypeError, ValueError, IndexError) as exc:
             raise SpecFormatError(f"malformed mode window: {exc}") from exc
         self.states = tuple(states)
@@ -433,7 +433,7 @@ class FieldSpace:
                        m, window: ModeWindow):
         """Verify that the products a_(j,m) b equal the supplied commutator
         expansion coefficients for j = 0..k and vanish for the next two
-        values of j.  Returns (ok, failures)."""
+        values of j.  Returns the failures, empty when every product holds."""
         m = tuple(m)
         failures = []
         k = len(coeffs) - 1
@@ -446,4 +446,4 @@ class FieldSpace:
                     expect = self.mode(want, n0, n, w) if want is not None else ZERO_STATE
                     if got != expect:
                         failures.append({"j": j, "mode": [n0, list(n)], "state": si})
-        return (not failures, failures)
+        return failures

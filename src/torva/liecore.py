@@ -59,6 +59,18 @@ class SpecFormatError(ValueError):
     """Malformed algebra/config input (shape or parse problems)."""
 
 
+def _integer(name: str, value, low=None) -> int:
+    """``value`` as an int: a JSON integer, or a float with an integral value;
+    anything else, or a value below ``low``, is a config error."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise SpecFormatError(f"config field {name!r} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise SpecFormatError(f"config field {name!r} must be >= {low}, got {value}")
+    return value
+
+
 class LieAlgebraSpec:
     """A finite-dimensional Lie algebra presented by structure constants.
 

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from torva import ModeWindow, Session, SessionConfig, run_mutation_suite, run_suite
-from torva.axioms import (AxiomChecker, _derivative_findings, _vacuum_ideal_findings,
+from torva.axioms import (AxiomChecker, CapExceeded, _derivative_findings, _finding,
+                          _vacuum_ideal_findings,
                           check_jacobi, check_skew_symmetry, check_vacuum_expansion,
                           mutation_catalog, sample_state)
 
@@ -243,6 +244,18 @@ def test_vertex_mode_tables_hold_one_unit_of_work(check, first, second):
     assert not _keys_after([(check, first)]) <= alone  # emptying is what keeps it so
 
 
+def test_finding_reads_the_check_result(win):
+    # None is a pass, any dict (even an empty one) is a failure's witness,
+    # and CapExceeded is a search that hit its cap
+    def capped():
+        raise CapExceeded({"part": "associativity", "cap": 8})
+    got = [(f.status, f.witness) for f in (_finding("law", win, {}, lambda: None),
+                                           _finding("law", win, {}, lambda: {}),
+                                           _finding("law", win, {}, capped))]
+    assert got == [("pass", None), ("fail", {}),
+                   ("cap_exceeded", {"part": "associativity", "cap": 8})]
+
+
 def test_finding_serialisation_roundtrip(s, ch, win):
     fnd = check_vacuum_expansion(ch, s.tail("e"), win)
     data = fnd.to_json()
@@ -355,133 +368,133 @@ def _mutant_rows(group):
 # Findings of every catalogue mutant, per group that fails on some mutant
 # (the skew group is pinned above), on the r1 config window and seed.
 MUTANT_WITNESSES = {
-    'lie': {
-        'struct[e,f->h]+1': (2, 0, '878b4d8ef9ac91f1'),
-        'struct[e,h->e]+1': (2, 0, '148f8378445b6d26'),
-        'struct[f,h->f]+1': (2, 0, '88e87b7fa771d5ad'),
-        'struct[e,e->e]+1': (2, 0, 'dad9954a6fec20a0'),
-        'form[e,e]+1': (1, 0, 'a7458c7d66d83bff'),
-        'form[e,f]+1': (1, 0, '570f44d92f19d3af'),
-        'form[e,h]+1': (1, 0, '62d2ed2c1e781e1d'),
-        'form[f,e]+1': (1, 0, '570f44d92f19d3af'),
-        'form[f,f]+1': (1, 0, '37777c0c745c663f'),
-        'form[f,h]+1': (1, 0, 'f13c10c202c064de'),
-        'form[h,e]+1': (1, 0, '62d2ed2c1e781e1d'),
-        'form[h,f]+1': (2, 0, 'd311be4733beb9d5'),
-        'form[h,h]+1': (1, 0, 'aeed7fc944e7b3ec'),
-        'cocycle*2': (0, 0, 'da9c5e50349f08ca'),
+    "lie": {
+        "struct[e,f->h]+1": (2, 0, "878b4d8ef9ac91f1"),
+        "struct[e,h->e]+1": (2, 0, "148f8378445b6d26"),
+        "struct[f,h->f]+1": (2, 0, "88e87b7fa771d5ad"),
+        "struct[e,e->e]+1": (2, 0, "dad9954a6fec20a0"),
+        "form[e,e]+1": (1, 0, "a7458c7d66d83bff"),
+        "form[e,f]+1": (1, 0, "570f44d92f19d3af"),
+        "form[e,h]+1": (1, 0, "62d2ed2c1e781e1d"),
+        "form[f,e]+1": (1, 0, "570f44d92f19d3af"),
+        "form[f,f]+1": (1, 0, "37777c0c745c663f"),
+        "form[f,h]+1": (1, 0, "f13c10c202c064de"),
+        "form[h,e]+1": (1, 0, "62d2ed2c1e781e1d"),
+        "form[h,f]+1": (2, 0, "d311be4733beb9d5"),
+        "form[h,h]+1": (1, 0, "aeed7fc944e7b3ec"),
+        "cocycle*2": (0, 0, "da9c5e50349f08ca"),
     },
-    'module': {
-        'struct[e,f->h]+1': (0, 0, '71621bc2c069dc05'),
-        'struct[e,h->e]+1': (1, 0, 'cff24d23d0d62a18'),
-        'struct[f,h->f]+1': (1, 0, 'adac93456c8a6453'),
-        'struct[e,e->e]+1': (1, 0, '9249c5663d7384ff'),
-        'form[e,e]+1': (0, 0, '71621bc2c069dc05'),
-        'form[e,f]+1': (0, 0, '71621bc2c069dc05'),
-        'form[e,h]+1': (0, 0, '71621bc2c069dc05'),
-        'form[f,e]+1': (0, 0, '71621bc2c069dc05'),
-        'form[f,f]+1': (0, 0, '71621bc2c069dc05'),
-        'form[f,h]+1': (0, 0, '71621bc2c069dc05'),
-        'form[h,e]+1': (0, 0, '71621bc2c069dc05'),
-        'form[h,f]+1': (0, 0, '71621bc2c069dc05'),
-        'form[h,h]+1': (0, 0, '71621bc2c069dc05'),
-        'cocycle*2': (0, 0, '71621bc2c069dc05'),
+    "module": {
+        "struct[e,f->h]+1": (0, 0, "71621bc2c069dc05"),
+        "struct[e,h->e]+1": (1, 0, "cff24d23d0d62a18"),
+        "struct[f,h->f]+1": (1, 0, "adac93456c8a6453"),
+        "struct[e,e->e]+1": (1, 0, "9249c5663d7384ff"),
+        "form[e,e]+1": (0, 0, "71621bc2c069dc05"),
+        "form[e,f]+1": (0, 0, "71621bc2c069dc05"),
+        "form[e,h]+1": (0, 0, "71621bc2c069dc05"),
+        "form[f,e]+1": (0, 0, "71621bc2c069dc05"),
+        "form[f,f]+1": (0, 0, "71621bc2c069dc05"),
+        "form[f,h]+1": (0, 0, "71621bc2c069dc05"),
+        "form[h,e]+1": (0, 0, "71621bc2c069dc05"),
+        "form[h,f]+1": (0, 0, "71621bc2c069dc05"),
+        "form[h,h]+1": (0, 0, "71621bc2c069dc05"),
+        "cocycle*2": (0, 0, "71621bc2c069dc05"),
     },
-    'table': {
-        'struct[e,f->h]+1': (0, 0, 'd9e34ce539559952'),
-        'struct[e,h->e]+1': (0, 0, 'd9e34ce539559952'),
-        'struct[f,h->f]+1': (0, 0, 'd9e34ce539559952'),
-        'struct[e,e->e]+1': (0, 0, 'd9e34ce539559952'),
-        'form[e,e]+1': (0, 0, 'd9e34ce539559952'),
-        'form[e,f]+1': (0, 0, 'd9e34ce539559952'),
-        'form[e,h]+1': (0, 0, 'd9e34ce539559952'),
-        'form[f,e]+1': (0, 0, 'd9e34ce539559952'),
-        'form[f,f]+1': (0, 0, 'd9e34ce539559952'),
-        'form[f,h]+1': (0, 0, 'd9e34ce539559952'),
-        'form[h,e]+1': (0, 0, 'd9e34ce539559952'),
-        'form[h,f]+1': (0, 0, 'd9e34ce539559952'),
-        'form[h,h]+1': (0, 0, 'd9e34ce539559952'),
-        'cocycle*2': (1, 0, '7bcd3f2bd30a98b1'),
+    "table": {
+        "struct[e,f->h]+1": (0, 0, "d9e34ce539559952"),
+        "struct[e,h->e]+1": (0, 0, "d9e34ce539559952"),
+        "struct[f,h->f]+1": (0, 0, "d9e34ce539559952"),
+        "struct[e,e->e]+1": (0, 0, "d9e34ce539559952"),
+        "form[e,e]+1": (0, 0, "d9e34ce539559952"),
+        "form[e,f]+1": (0, 0, "d9e34ce539559952"),
+        "form[e,h]+1": (0, 0, "d9e34ce539559952"),
+        "form[f,e]+1": (0, 0, "d9e34ce539559952"),
+        "form[f,f]+1": (0, 0, "d9e34ce539559952"),
+        "form[f,h]+1": (0, 0, "d9e34ce539559952"),
+        "form[h,e]+1": (0, 0, "d9e34ce539559952"),
+        "form[h,f]+1": (0, 0, "d9e34ce539559952"),
+        "form[h,h]+1": (0, 0, "d9e34ce539559952"),
+        "cocycle*2": (1, 0, "7bcd3f2bd30a98b1"),
     },
-    'locality': {
-        'struct[e,f->h]+1': (1, 0, '4bca4150766f6346'),
-        'struct[e,h->e]+1': (1, 0, '4bca4150766f6346'),
-        'struct[f,h->f]+1': (1, 0, '4bca4150766f6346'),
-        'struct[e,e->e]+1': (1, 0, 'f3384d635e97834e'),
-        'form[e,e]+1': (1, 0, '768d29569b15392e'),
-        'form[e,f]+1': (1, 0, '4bca4150766f6346'),
-        'form[e,h]+1': (1, 0, '87772c5eecce3b57'),
-        'form[f,e]+1': (1, 0, '4bca4150766f6346'),
-        'form[f,f]+1': (1, 0, '66f9eb38d0baf023'),
-        'form[f,h]+1': (1, 0, '9209ae2dc0b42b43'),
-        'form[h,e]+1': (1, 0, '4bca4150766f6346'),
-        'form[h,f]+1': (1, 0, '4bca4150766f6346'),
-        'form[h,h]+1': (1, 0, '768d29569b15392e'),
-        'cocycle*2': (0, 0, '2e23c7f48a59aa28'),
+    "locality": {
+        "struct[e,f->h]+1": (1, 0, "4bca4150766f6346"),
+        "struct[e,h->e]+1": (1, 0, "4bca4150766f6346"),
+        "struct[f,h->f]+1": (1, 0, "4bca4150766f6346"),
+        "struct[e,e->e]+1": (1, 0, "f3384d635e97834e"),
+        "form[e,e]+1": (1, 0, "768d29569b15392e"),
+        "form[e,f]+1": (1, 0, "4bca4150766f6346"),
+        "form[e,h]+1": (1, 0, "87772c5eecce3b57"),
+        "form[f,e]+1": (1, 0, "4bca4150766f6346"),
+        "form[f,f]+1": (1, 0, "66f9eb38d0baf023"),
+        "form[f,h]+1": (1, 0, "9209ae2dc0b42b43"),
+        "form[h,e]+1": (1, 0, "4bca4150766f6346"),
+        "form[h,f]+1": (1, 0, "4bca4150766f6346"),
+        "form[h,h]+1": (1, 0, "768d29569b15392e"),
+        "cocycle*2": (0, 0, "2e23c7f48a59aa28"),
     },
-    'transfer': {
-        'struct[e,f->h]+1': (1, 0, '001739641fd9c02c'),
-        'struct[e,h->e]+1': (1, 0, '001739641fd9c02c'),
-        'struct[f,h->f]+1': (1, 0, '7e774f8846ac652a'),
-        'struct[e,e->e]+1': (1, 0, '5c829c6815e90c04'),
-        'form[e,e]+1': (1, 0, '3a96590f5051d97a'),
-        'form[e,f]+1': (1, 0, '83a021c57cdb3309'),
-        'form[e,h]+1': (1, 0, 'ee3323d6f88eb8d1'),
-        'form[f,e]+1': (1, 0, 'e98d0bfe0a230cc9'),
-        'form[f,f]+1': (1, 0, 'da160dbd87e8ff54'),
-        'form[f,h]+1': (1, 0, '387108b43653b157'),
-        'form[h,e]+1': (1, 0, 'c389b0132631e0ec'),
-        'form[h,f]+1': (1, 0, 'd98a0184df93cd78'),
-        'form[h,h]+1': (1, 0, '83a021c57cdb3309'),
-        'cocycle*2': (1, 0, '931a3f27689e2d43'),
+    "transfer": {
+        "struct[e,f->h]+1": (1, 0, "001739641fd9c02c"),
+        "struct[e,h->e]+1": (1, 0, "001739641fd9c02c"),
+        "struct[f,h->f]+1": (1, 0, "7e774f8846ac652a"),
+        "struct[e,e->e]+1": (1, 0, "5c829c6815e90c04"),
+        "form[e,e]+1": (1, 0, "3a96590f5051d97a"),
+        "form[e,f]+1": (1, 0, "83a021c57cdb3309"),
+        "form[e,h]+1": (1, 0, "ee3323d6f88eb8d1"),
+        "form[f,e]+1": (1, 0, "e98d0bfe0a230cc9"),
+        "form[f,f]+1": (1, 0, "da160dbd87e8ff54"),
+        "form[f,h]+1": (1, 0, "387108b43653b157"),
+        "form[h,e]+1": (1, 0, "c389b0132631e0ec"),
+        "form[h,f]+1": (1, 0, "d98a0184df93cd78"),
+        "form[h,h]+1": (1, 0, "83a021c57cdb3309"),
+        "cocycle*2": (1, 0, "931a3f27689e2d43"),
     },
-    'axioms': {
-        'struct[e,f->h]+1': (8, 1, '43d37b6a5125a38c'),
-        'struct[e,h->e]+1': (11, 1, '72ccee19476a5886'),
-        'struct[f,h->f]+1': (9, 2, 'c3d0452af807d7a2'),
-        'struct[e,e->e]+1': (6, 1, 'c66486b3ceb9fa8b'),
-        'form[e,e]+1': (1, 0, 'f6afc97b09f8abda'),
-        'form[e,f]+1': (2, 1, '0e73e84ac73810af'),
-        'form[e,h]+1': (4, 1, 'ae0d0d60c3d4a187'),
-        'form[f,e]+1': (1, 1, 'a73b9010f1e236db'),
-        'form[f,f]+1': (1, 1, 'ced9151eab8931ad'),
-        'form[f,h]+1': (4, 1, '7ff3350749dd5207'),
-        'form[h,e]+1': (5, 1, '5cc21b4348706888'),
-        'form[h,f]+1': (2, 0, '341c4c7d1e0365f3'),
-        'form[h,h]+1': (2, 1, '15f5bd244fabde3c'),
-        'cocycle*2': (0, 0, '51494425e72f1e98'),
+    "axioms": {
+        "struct[e,f->h]+1": (8, 1, "cf1091dbb74523f3"),
+        "struct[e,h->e]+1": (11, 1, "211d4190307ca28e"),
+        "struct[f,h->f]+1": (9, 2, "c3d0452af807d7a2"),
+        "struct[e,e->e]+1": (6, 1, "c66486b3ceb9fa8b"),
+        "form[e,e]+1": (1, 0, "f6afc97b09f8abda"),
+        "form[e,f]+1": (2, 1, "0e73e84ac73810af"),
+        "form[e,h]+1": (4, 1, "ae0d0d60c3d4a187"),
+        "form[f,e]+1": (1, 1, "a73b9010f1e236db"),
+        "form[f,f]+1": (1, 1, "ced9151eab8931ad"),
+        "form[f,h]+1": (4, 1, "7ff3350749dd5207"),
+        "form[h,e]+1": (5, 1, "6f653200876397e9"),
+        "form[h,f]+1": (2, 0, "341c4c7d1e0365f3"),
+        "form[h,h]+1": (2, 1, "15f5bd244fabde3c"),
+        "cocycle*2": (0, 0, "51494425e72f1e98"),
     },
-    'ideal': {
-        'struct[e,f->h]+1': (1, 0, '8b66f14fa71c17c8'),
-        'struct[e,h->e]+1': (1, 0, '1c3da135c25ebc0a'),
-        'struct[f,h->f]+1': (2, 0, 'b5ca3c4b8abcb8bd'),
-        'struct[e,e->e]+1': (1, 0, 'fa20e3bdd2c0a6db'),
-        'form[e,e]+1': (1, 0, '7ce662b3338836df'),
-        'form[e,f]+1': (1, 0, '627a0ff15f2ac9bb'),
-        'form[e,h]+1': (1, 0, '53d7747f0cbfdd4c'),
-        'form[f,e]+1': (1, 0, '627a0ff15f2ac9bb'),
-        'form[f,f]+1': (1, 0, '28b7dcb1b85d2514'),
-        'form[f,h]+1': (1, 0, '0523eb74e61b9708'),
-        'form[h,e]+1': (1, 0, '0fda118abc19b8df'),
-        'form[h,f]+1': (1, 0, '0523eb74e61b9708'),
-        'form[h,h]+1': (1, 0, '023fa6399ccc0f75'),
-        'cocycle*2': (1, 0, '627a0ff15f2ac9bb'),
+    "ideal": {
+        "struct[e,f->h]+1": (1, 0, "8b66f14fa71c17c8"),
+        "struct[e,h->e]+1": (1, 0, "1c3da135c25ebc0a"),
+        "struct[f,h->f]+1": (2, 0, "b5ca3c4b8abcb8bd"),
+        "struct[e,e->e]+1": (1, 0, "fa20e3bdd2c0a6db"),
+        "form[e,e]+1": (1, 0, "7ce662b3338836df"),
+        "form[e,f]+1": (1, 0, "627a0ff15f2ac9bb"),
+        "form[e,h]+1": (1, 0, "53d7747f0cbfdd4c"),
+        "form[f,e]+1": (1, 0, "627a0ff15f2ac9bb"),
+        "form[f,f]+1": (1, 0, "28b7dcb1b85d2514"),
+        "form[f,h]+1": (1, 0, "0523eb74e61b9708"),
+        "form[h,e]+1": (1, 0, "0fda118abc19b8df"),
+        "form[h,f]+1": (1, 0, "0523eb74e61b9708"),
+        "form[h,h]+1": (1, 0, "023fa6399ccc0f75"),
+        "cocycle*2": (1, 0, "627a0ff15f2ac9bb"),
     },
-    'module-variant': {
-        'struct[e,f->h]+1': (1, 0, '421478b1ee5cc4f2'),
-        'struct[e,h->e]+1': (2, 0, '1e8a85c03eafd3cd'),
-        'struct[f,h->f]+1': (1, 0, 'e557c6031566c47d'),
-        'struct[e,e->e]+1': (1, 0, '83da93c08a0cd503'),
-        'form[e,e]+1': (1, 0, 'e2b93511581c422b'),
-        'form[e,f]+1': (0, 0, '03da9ea4fe887215'),
-        'form[e,h]+1': (0, 0, '03da9ea4fe887215'),
-        'form[f,e]+1': (0, 0, '03da9ea4fe887215'),
-        'form[f,f]+1': (0, 0, '03da9ea4fe887215'),
-        'form[f,h]+1': (0, 0, '03da9ea4fe887215'),
-        'form[h,e]+1': (0, 0, '03da9ea4fe887215'),
-        'form[h,f]+1': (0, 0, '03da9ea4fe887215'),
-        'form[h,h]+1': (0, 0, '03da9ea4fe887215'),
-        'cocycle*2': (0, 0, '03da9ea4fe887215'),
+    "module-variant": {
+        "struct[e,f->h]+1": (1, 0, "421478b1ee5cc4f2"),
+        "struct[e,h->e]+1": (2, 0, "1e8a85c03eafd3cd"),
+        "struct[f,h->f]+1": (1, 0, "e557c6031566c47d"),
+        "struct[e,e->e]+1": (1, 0, "83da93c08a0cd503"),
+        "form[e,e]+1": (1, 0, "e2b93511581c422b"),
+        "form[e,f]+1": (0, 0, "03da9ea4fe887215"),
+        "form[e,h]+1": (0, 0, "03da9ea4fe887215"),
+        "form[f,e]+1": (0, 0, "03da9ea4fe887215"),
+        "form[f,f]+1": (0, 0, "03da9ea4fe887215"),
+        "form[f,h]+1": (0, 0, "03da9ea4fe887215"),
+        "form[h,e]+1": (0, 0, "03da9ea4fe887215"),
+        "form[h,f]+1": (0, 0, "03da9ea4fe887215"),
+        "form[h,h]+1": (0, 0, "03da9ea4fe887215"),
+        "cocycle*2": (0, 0, "03da9ea4fe887215"),
     },
 }
 

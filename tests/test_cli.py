@@ -84,7 +84,9 @@ def test_config_not_an_object_exit_2(tmp_path):
     assert "JSON object" in out.stderr
 
 
-@pytest.mark.parametrize("window", [{"m0": "x"}, {"m0": [-1, 1], "depth": "d"}, 1])
+@pytest.mark.parametrize("window", [{"m0": "x"}, {"m0": [-1, 1], "depth": "d"}, 1,
+                                    {"m0": [-1.5, 1]}, {"m0": [-1, "1"]}, {"m": [[-1.9, 1]]},
+                                    {"depth": 2.7}, {"locality_bound": "3"}, {"depth": True}])
 def test_malformed_window_exit_2(cfg, tmp_path, window):
     payload = json.loads(open(cfg).read())
     payload["windows"] = [window]
