@@ -8,12 +8,18 @@ or memory).
 
 All input and output is JSON with rationals as "p/q" strings; reports are
 byte-deterministic for a fixed config apart from the timing fields.
+
+A command runs with the cyclic garbage collector paused, and :func:`main`
+restores the state it found: the engine makes no reference cycles (a tier-1
+test checks every check group), so the collector would only rescan the memo
+tables and free nothing; reference counting frees everything.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -312,6 +318,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         cfg = SessionConfig.from_file(args.config)
         return _COMMANDS[args.command](cfg, args)
@@ -324,6 +332,9 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"refused: out of resources ({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_REFUSED
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ every coefficient tuple that the degree witness proves zero.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -50,12 +49,12 @@ def component_sum(A, P, B, Q, m0: int, k0: int, w: StateVector, hi1: int, hi2: i
     acc = {}
     for i in range(hi1 + 1):
         t = B(k0 + i, Q, w)
-        if t:
+        if t.terms:
             _accumulate(acc, A(m0 - i, P, t), binom(m0, i) * (-1 if i % 2 else 1))
     sign = 1 if m0 % 2 else -1  # -(-1)^m0
     for i in range(hi2 + 1):
         t = A(i, P, w)
-        if t:
+        if t.terms:
             _accumulate(acc, B(m0 + k0 - i, Q, t), sign * binom(m0, i) * (-1 if i % 2 else 1))
     return acc
 
@@ -112,7 +111,8 @@ class FieldHandle:
 
     ``key`` is the provenance tree (hashable); ``t0_offset`` is the integer s
     with modes (k0, k) sending degree d to degree d - k0 - s, which powers the
-    termination witnesses.
+    termination witnesses.  The evaluator ``_eval(k0, k, w)`` returns
+    ``ZERO_STATE`` itself on a zero w or past ``w.max_degree() - t0_offset``.
     """
 
     __slots__ = ("key", "t0_offset", "_eval", "label")
@@ -169,7 +169,7 @@ class FieldSpace:
         idx = module.spec.index_of(a)
         label = module.spec.basis[idx]
 
-        def ev(m0, m, w):
+        def ev(m0, m, w):  # act_index keeps the witness of offset 0
             if type(m) is tuple and len(m) == r:
                 return module.act_index(idx, m0, m, w)
             return module.act(idx, m0, m, w)  # converts m or raises on its rank
@@ -180,7 +180,7 @@ class FieldSpace:
         zero = mi_zero(self.r)
 
         def ev(m0, m, w):
-            return w if (m0 == -1 and m == zero) else ZERO_STATE
+            return w if (m0 == -1 and m == zero and w.terms) else ZERO_STATE
 
         return FieldHandle(("one",), 1, ev, "1")
 
@@ -188,34 +188,38 @@ class FieldSpace:
         """The field sum of c * h over the (handle, coeff) pairs in ``terms``;
         an empty list gives the zero field."""
         terms = tuple(terms)
+        off = min((h.t0_offset for h, _ in terms), default=0)
 
         def ev(m0, m, w):
+            if not w.terms or m0 > w.max_degree() - off:
+                return ZERO_STATE
             acc = {}
             for h, c in terms:
-                _accumulate(acc, self.mode(h, m0, m, w), c)
+                _accumulate(acc, h._eval(m0, m, w), c)
             return StateVector.adopt(acc)
 
-        off = min((h.t0_offset for h, _ in terms), default=0)
         key = ("lin",) + tuple((h.key, c) for h, c in terms)
         label = " + ".join(f"{c}*{h.label}" for h, c in terms) or "0"
         return FieldHandle(key, off, ev, label)
 
     def derivative(self, i: int, a: FieldHandle) -> FieldHandle:
         """D0 = d/dx0 for i = 0, Di = x_i d/dx_i for 1 <= i <= r, at the mode
-        level: (D0 a)(n0, n) = -n0 a(n0-1, n), (Di a)(n0, n) = -n_i a(n0, n)."""
+        level: (D0 a)(n0, n) = -n0 a(n0-1, n), (Di a)(n0, n) = -n_i a(n0, n);
+        both keep a's witness, as a zero scales to itself."""
         if not 0 <= i <= self.r:
             raise SpecFormatError(f"derivative index {i} out of range 0..{self.r}")
+        inner = a._eval
         if i == 0:
             def ev(n0, n, w):
                 if n0 == 0:
                     return ZERO_STATE
-                return self.mode(a, n0 - 1, n, w).scaled(-n0)
+                return inner(n0 - 1, n, w).scaled(-n0)
             off = a.t0_offset - 1
         else:
             def ev(n0, n, w):
                 if n[i - 1] == 0:
                     return ZERO_STATE
-                return self.mode(a, n0, n, w).scaled(-n[i - 1])
+                return inner(n0, n, w).scaled(-n[i - 1])
             off = a.t0_offset
         return FieldHandle(("D", i, a.key), off, ev, f"D{i}({a.label})")
 
@@ -238,11 +242,17 @@ class FieldSpace:
         hkey = ("prod", a.key, m0, m, b.key)
 
         def ev(k0, k, w):
+            if not w.terms or k0 > w.max_degree() - off:
+                return ZERO_STATE
             key = (hkey, k0, k, w)
-            out = self._mode_cache.get(key)
+            table = self._mode_cache
+            out = table._data.get(key)
             if out is None:
+                table.misses += 1
                 out = self._product_mode(a, m0, m, b, k0, k, w)
-                self._mode_cache.put(key, out)
+                table.put(key, out)
+            else:
+                table.hits += 1
             return out
 
         return FieldHandle(hkey, off, ev, label)
@@ -254,22 +264,22 @@ class FieldSpace:
         return w.max_degree() - h.t0_offset
 
     def mode(self, h: FieldHandle, m0: int, m, w: StateVector) -> StateVector:
-        if not w or m0 > w.max_degree() - h.t0_offset:
-            return ZERO_STATE
+        """The (m0, m) mode of h applied to w; zero past :meth:`witness`,
+        which the handle's evaluator checks itself."""
         return h._eval(m0, m, w)
 
     def _product_mode(self, a, m0, m, b, k0, k, w) -> StateVector:
-        hi1 = self.witness(b, w) - k0
-        hi2 = self.witness(a, w)
+        top = w.max_degree()
+        hi1 = top - b.t0_offset - k0
+        hi2 = top - a.t0_offset
         if m0 >= 0:
             hi1, hi2 = min(hi1, m0), min(hi2, m0)
         if hi1 + hi2 + 2 > self.term_bound:
             raise TerminationError(
                 f"product mode sum for {a.label},{b.label} needs {hi1 + hi2 + 2} terms "
                 f"(bound {self.term_bound}); oracle not restricted enough")
-        return StateVector.adopt(component_sum(
-            functools.partial(self.mode, a), m, functools.partial(self.mode, b),
-            mi_sub(k, m), m0, k0, w, hi1, hi2))
+        return StateVector.adopt(component_sum(a._eval, m, b._eval, mi_sub(k, m),
+                                               m0, k0, w, hi1, hi2))
 
     # -- locality -----------------------------------------------------------------
 
@@ -277,8 +287,8 @@ class FieldSpace:
         key = (a.key, b.key, p0, p, q0, q, w)
         out = self._comm_cache.get(key)
         if out is None:
-            out = (self.mode(a, p0, p, self._first(b, q0, q, w))
-                   - self.mode(b, q0, q, self._first(a, p0, p, w)))
+            out = (a._eval(p0, p, self._first(b, q0, q, w))
+                   - b._eval(q0, q, self._first(a, p0, p, w)))
             self._comm_cache.put(key, out)
         return out
 
@@ -286,7 +296,7 @@ class FieldSpace:
         key = (h.key, m0, m, w)
         out = self._first_cache.get(key)
         if out is None:
-            out = self.mode(h, m0, m, w)
+            out = h._eval(m0, m, w)
             self._first_cache.put(key, out)
         return out
 

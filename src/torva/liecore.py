@@ -21,6 +21,7 @@ threads.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -48,11 +49,11 @@ def mi_zero(r: int) -> tuple:
 
 
 def mi_add(m: tuple, n: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(m, n))
+    return tuple(map(operator.add, m, n))
 
 
 def mi_sub(m: tuple, n: tuple) -> tuple:
-    return tuple(a - b for a, b in zip(m, n))
+    return tuple(map(operator.sub, m, n))
 
 
 class SpecFormatError(ValueError):

@@ -44,10 +44,12 @@ class PBWMonomial:
     basis index of g or None for the cyclic vector 1.
 
     Instances are interned (hash-consed): constructing the same (word, tail)
-    twice returns the same object, so equality is identity.
+    twice returns the same object, so equality is identity and the hash is
+    ``object``'s, which dict and tuple hashing compute without a Python call.
+    It differs from process to process, so no output may depend on it.
     """
 
-    __slots__ = ("word", "tail", "degree", "_hash")
+    __slots__ = ("word", "tail", "degree")
     _interned = {}
 
     def __new__(cls, word: tuple, tail: Optional[int]):
@@ -58,7 +60,6 @@ class PBWMonomial:
             mono.word = word
             mono.tail = tail
             mono.degree = sum(k for (k, _, _) in word) + (0 if tail is None else 1)
-            mono._hash = hash(key)
             cls._interned[key] = mono
         return mono
 
@@ -73,9 +74,6 @@ class PBWMonomial:
 
     def sort_key(self):
         return (self.degree, self.word, -1 if self.tail is None else self.tail)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         modes = " ".join(f"({a};-{k};{','.join(map(str, m))})" for (k, a, m) in self.word)
@@ -135,15 +133,17 @@ class StateVector:
         return self.scaled(-1)
 
     def scaled(self, c: Scalar):
-        c = frac(c)
-        if c == 1:
+        """c times this state; a zero state or c = 1 gives the state itself."""
+        if type(c) is not int:
+            c = frac(c)
+        if c == 1 or not self.terms:
             return self
         if not c:
             return ZERO_STATE
         # a nonzero multiple of nonzero exact terms has no zero term to drop
-        out = StateVector()
+        out = StateVector.__new__(StateVector)
         out.terms = {m: v * c for m, v in self.terms.items()}
-        out._maxdeg = self._maxdeg
+        out._hash, out._maxdeg = None, self._maxdeg
         return out
 
     def __eq__(self, other):
@@ -196,14 +196,16 @@ class Memo:
     """Memo table: a plain dict, emptied when the work that rereads it ends; a
     value is then recomputed, so no result depends on it.  Stored values are
     never None.  No lock: one session, one thread at a time.  ``hits`` and
-    ``misses`` count lookups."""
+    ``misses`` count lookups, ``emptied`` the entries dropped.  A hot caller
+    may read ``_data`` itself, counting as :meth:`get` does; it stores by :meth:`put`."""
 
-    __slots__ = ("_data", "hits", "misses")
+    __slots__ = ("_data", "hits", "misses", "emptied")
 
     def __init__(self):
         self._data = {}
         self.hits = 0
         self.misses = 0
+        self.emptied = 0
 
     def get(self, key):
         val = self._data.get(key)
@@ -217,7 +219,8 @@ class Memo:
         self._data[key] = value
 
     def empty(self):
-        """Drop every entry; the counters are left as they are."""
+        """Drop every entry, counted in ``emptied``; hits and misses stay."""
+        self.emptied += len(self._data)
         self._data.clear()
 
     def __len__(self):
@@ -349,10 +352,19 @@ class VacuumModule(Module):
         return ZERO_STATE
 
     def act_index(self, a: int, n0: int, n: tuple, state: StateVector) -> StateVector:
-        if len(state.terms) == 1:  # dominant case: a single monomial
+        if len(state.terms) == 1:  # dominant case: a single monomial, its table read here
             (mono, c), = state.terms.items()
-            out = self._act_mono(a, n0, n, mono)
+            if n0 > mono.degree:
+                return ZERO_STATE
+            table = self._act_cache
+            out = table._data.get((a, n0, n, mono))
+            if out is None:
+                out = self._act_mono(a, n0, n, mono)  # counts the miss
+            else:
+                table.hits += 1
             return out if c == 1 else out.scaled(c)
+        if not state.terms or n0 > state.max_degree():
+            return ZERO_STATE
         out = {}
         for mono, c in state.terms.items():
             _accumulate(out, self._act_mono(a, n0, n, mono), c)

@@ -175,11 +175,17 @@ class Session:
     def field_of(self, v: StateVector, module=None) -> FieldHandle:
         """The vertex operator of v on a restricted module (default: the
         vacuum module) as a field handle.  Its offset 1 - deg v gives the
-        witness bound of :meth:`_vm_mono`; its label is constant, as
-        rendering a state sorts every term."""
+        witness bound of :meth:`_vm_mono`, which its evaluator checks; its
+        label is constant, as rendering a state sorts every term."""
         mod = module or self.module
-        return FieldHandle(("Y", mod.key, v), 1 - v.max_degree(),
-                           functools.partial(self.vertex_mode, v, module=mod), "Y(state)")
+        off = 1 - v.max_degree()
+
+        def ev(n0, n, w):
+            if not w.terms or n0 > w.max_degree() - off:
+                return ZERO_STATE
+            return self.vertex_mode(v, n0, n, w, mod)
+
+        return FieldHandle(("Y", mod.key, v), off, ev, "Y(state)")
 
     # -- creation property -------------------------------------------------------
 
@@ -380,21 +386,15 @@ def loop_affine_graded_dims(mode_count_per_k, max_degree: int) -> dict:
     offering ``mode_count_per_k(k)`` choices of (a, m).
 
     Computed by a partition-style dynamic program, deliberately sharing no
-    code with the ideal construction.
+    code with the ideal construction: the table is multiplied by one part
+    size k at a time, j copies of part k being any multiset of its colours.
     """
     from math import comb
 
-    def count_with_min_part(n: int, kmin: int) -> int:
-        if n == 0:
-            return 1
-        total = 0
-        for k in range(kmin, n + 1):
-            colors = mode_count_per_k(k)
-            # j copies of part k, any multiset of the colored modes
-            j = 1
-            while k * j <= n:
-                total += comb(colors + j - 1, j) * count_with_min_part(n - k * j, k + 1)
-                j += 1
-        return total
-
-    return {n: count_with_min_part(n, 1) for n in range(max_degree + 1)}
+    dims = [int(n == 0) for n in range(max_degree + 1)]
+    for k in range(1, max_degree + 1):
+        colors = mode_count_per_k(k)
+        dims = [dims[n] + sum(comb(colors + j - 1, j) * dims[n - k * j]
+                              for j in range(1, n // k + 1))
+                for n in range(max_degree + 1)]
+    return dict(enumerate(dims))

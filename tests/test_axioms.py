@@ -1,6 +1,7 @@
 """Axiom checks: the two weak identities, the coefficient form, skew
 symmetry, the vacuum-expansion trio, mutation sensitivity."""
 
+import gc
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from torva import ModeWindow, Session, SessionConfig, run_mutation_suite, run_suite
-from torva.axioms import (AxiomChecker, CapExceeded, _derivative_findings, _finding,
+from torva.axioms import (GROUPS, AxiomChecker, CapExceeded, _derivative_findings, _finding,
                           _vacuum_ideal_findings,
                           check_jacobi, check_skew_symmetry, check_vacuum_expansion,
                           mutation_catalog, sample_state)
@@ -294,6 +295,28 @@ def test_affine_commutator_catches_mutants():
         assert f.status == "fail", name
         got[name] = f.witness
     assert got == want
+
+
+def test_the_engine_makes_no_reference_cycles():
+    # a command runs with the cyclic collector paused, which is safe only
+    # while everything a check group builds is freed by reference counting
+    cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    runs = {name: (lambda session, win, name=name, build=build:
+                   build(session, win, random.Random(f"{cfg.seed}:{name}"), cfg.samples))
+            for name, build in GROUPS.items()}
+    runs["v0 with a holder"] = lambda session, win: _vacuum_ideal_findings(
+        session, win, random.Random(cfg.seed), {})
+    gc.collect()
+    gc.disable()
+    try:
+        for name, run in runs.items():
+            session = cfg.build_session()
+            win, = cfg.build_windows(session)
+            run(session, win)
+            del session, win
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_derivative_check_keeps_one_pair_of_product_modes():

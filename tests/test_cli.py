@@ -1,5 +1,6 @@
 """CLI surface: exit codes, determinism, cache transparency, error paths."""
 
+import gc
 import json
 import os
 import shutil
@@ -293,6 +294,31 @@ def test_v0_builds_the_ideal_once(tmp_path, monkeypatch):
     assert cli.main(["--config", config, "v0", "--out", str(out)]) == 0
     assert len(calls) == 1
     assert json.load(open(out))["basis_size"] == 190
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_command_pauses_the_collector_and_restores_it(cfg, tmp_path, monkeypatch, collecting):
+    from torva import cli
+
+    seen = []
+    validate = cli._COMMANDS["validate"]
+
+    def watched(config, args):
+        seen.append(gc.isenabled())
+        return validate(config, args)
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", watched)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{nope")
+    try:
+        if not collecting:
+            gc.disable()
+        assert cli.main(["--config", cfg, "validate"]) == 0
+        assert seen == [False] and gc.isenabled() is collecting
+        assert cli.main(["--config", str(broken), "validate"]) == 2
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
 
 
 def test_report_command(cfg, tmp_path):

@@ -1,14 +1,17 @@
 """Field engine: locality, products, derivatives, closure, the residue oracle."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from torva import FieldSpace, LocalityError, ModeWindow, Session, ShiftedModule, SpecFormatError
+from torva import (FieldSpace, LocalityError, ModeWindow, Session, SessionConfig, ShiftedModule,
+                   SpecFormatError, run_suite)
 from torva.axioms import expected_locality
+from torva.states import ZERO_STATE
 
-from conftest import abelian_spec, sl2_spec, small_window
+from conftest import CONFIG_DIR, abelian_spec, sl2_spec, small_window
 
 
 @pytest.fixture(scope="module")
@@ -358,3 +361,73 @@ def test_field_space_over_the_shifted_module(s, win):
             prod = fs.product(cur[a], m0, m, cur[b], window=win)
             assert (fs.mode(prod, k0, k, w)
                     == fs.residue_oracle_mode(cur[a], m0, m, cur[b], k0, k, w)), (a, b, m0, m, k0, k)
+
+
+def test_every_handle_kind_keeps_its_witness(s, win):
+    # FieldSpace.mode reads a handle's modes straight from its evaluator, so
+    # each evaluator returns ZERO_STATE itself past witness(h, w) and on the
+    # zero state; inside the witness it agrees with a path of its own
+    fs, act = s.fields, s.module.act
+    e, f, h, one = fs.current("e"), fs.current("f"), fs.current("h"), fs.identity()
+    ef = s.product(s.tail("e"), -1, (0,), s.tail("f"))
+    kinds = {
+        "current": (e, lambda n0, n, w: act("e", n0, n, w)),
+        "identity": (one, lambda n0, n, w: w if (n0, n) == (-1, (0,)) else ZERO_STATE),
+        "linear_combination": (
+            fs.linear_combination([(e, 2), (one, Fraction(1, 2)), (h, -1)]),
+            lambda n0, n, w: (act("e", n0, n, w).scaled(2) - act("h", n0, n, w)
+                              + (w.scaled(Fraction(1, 2)) if (n0, n) == (-1, (0,))
+                                 else ZERO_STATE))),
+        "empty linear_combination": (fs.linear_combination([]), lambda n0, n, w: ZERO_STATE),
+        "derivative 0": (fs.derivative(0, e),
+                         lambda n0, n, w: act("e", n0 - 1, n, w).scaled(-n0)),
+        "derivative 1": (fs.derivative(1, f), lambda n0, n, w: act("f", n0, n, w).scaled(-n[0])),
+        "product": (fs.product(e, 0, (1,), f, window=win),
+                    lambda n0, n, w: fs.residue_oracle_mode(e, 0, (1,), f, n0, n, w)),
+        "field_of a tail sum": (s.field_of(s.tail("e") + s.tail("h").scaled(3)),
+                                lambda n0, n, w: act("e", n0, n, w) + act("h", n0, n, w).scaled(3)),
+        "field_of a product": (s.field_of(ef),
+                               lambda n0, n, w: fs.residue_oracle_mode(e, -1, (0,), f, n0, n, w)),
+        "field_of zero": (s.field_of(ZERO_STATE), lambda n0, n, w: ZERO_STATE),
+    }
+    for kind, (handle, independent) in kinds.items():
+        for n in win.m_values():
+            for k0 in range(-5, 6):
+                assert fs.mode(handle, k0, n, ZERO_STATE) is ZERO_STATE, (kind, k0, n)
+            for w in win.states:
+                top = fs.witness(handle, w)
+                for k0 in range(top + 1, top + 4):
+                    assert fs.mode(handle, k0, n, w) is ZERO_STATE, (kind, k0, n)
+                for k0 in range(win.m0_lo - 1, top + 1):
+                    assert fs.mode(handle, k0, n, w) == independent(k0, n, w), (kind, k0, n)
+    # the checked path of a current converts a sequence and refuses a wrong rank
+    w = s.parse_state("f(-1;0) vac")
+    for handle in (e, fs.derivative(0, e)):
+        for k0 in range(-2, 2):
+            assert fs.mode(handle, k0, [1], w) == fs.mode(handle, k0, (1,), w)
+        with pytest.raises(SpecFormatError):
+            fs.mode(handle, 1, [0, 0], w)
+
+
+def test_memo_counters_are_pinned_after_locality_and_derivative():
+    # the hot paths read the action, product-mode and other tables in place;
+    # every lookup is still counted once, as a hit or a miss
+    cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    session = cfg.build_session()
+    win, = cfg.build_windows(session)
+    tables = {"act": session.module._act_cache, "word": session.module._word_cache,
+              "mode": session.fields._mode_cache, "comm": session.fields._comm_cache,
+              "first": session.fields._first_cache, "vm": session._vm_cache,
+              "vm_state": session._vm_state_cache}
+    want = {
+        "locality": {"act": (5929, 2429), "word": (290, 561), "mode": (0, 0),
+                     "comm": (1930, 4263), "first": (7773, 753), "vm": (0, 0),
+                     "vm_state": (0, 0)},
+        "derivative": {"act": (81139, 5427), "word": (836, 1663), "mode": (3888, 14904),
+                       "comm": (7355, 13881), "first": (25095, 2667), "vm": (0, 0),
+                       "vm_state": (0, 0)},
+    }
+    for group, counts in want.items():
+        assert run_suite(session, win, seed=cfg.seed, checks=[group],
+                         samples=cfg.samples).ok
+        assert {name: (t.hits, t.misses) for name, t in tables.items()} == counts, group

@@ -178,6 +178,19 @@ def test_memo_counters():
     assert (memo.hits, memo.misses, len(memo)) == (3, 2, 1)
 
 
+def test_memo_empty_counts_what_it_drops():
+    memo = Memo()
+    memo.empty()
+    assert memo.emptied == 0
+    for key in "abc":
+        memo.put(key, 1)
+    memo.empty()
+    memo.put("d", 2)
+    memo.empty()
+    memo.empty()
+    assert (memo.emptied, len(memo), memo.hits, memo.misses) == (4, 0, 0, 0)
+
+
 def test_act_on_one_term_matches_general_path(s):
     mono, = s.parse_state("e(-2;1) f(-1;0) vac").terms
     e = s.spec.index_of("e")
@@ -235,6 +248,8 @@ def test_monomials_are_interned(s):
     assert PBWMonomial(word, 2) is not PBWMonomial(word, None)
     mono, = s.parse_state("e(-2;1) f(-1;0) vac").terms
     assert mono is PBWMonomial(mono.word, mono.tail)
+    # equality is identity, so the hash is object's, computed without a Python call
+    assert PBWMonomial.__hash__ is object.__hash__ and PBWMonomial.__eq__ is object.__eq__
 
 
 def test_state_json_same_for_int_and_fraction_coefficients(s):
