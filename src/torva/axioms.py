@@ -190,19 +190,21 @@ class AxiomChecker:
     def _composite_modes(self, x, y, states):
         """F(c0, C, d0, D, si): the (d0, D) mode of the vertex operator of
         x_(c0, C) y on ``states[si]``, with the products and the values held
-        in tables local to the caller, so each is computed once per call."""
+        in tables local to the caller, so each is computed once while the
+        caller holds F."""
         product = functools.cache(lambda c0, C: self.session.product(x, c0, C, y))
         return functools.cache(lambda c0, C, d0, D, si: self.vm(product(c0, C), d0, D, states[si]))
 
-    def skew_symmetry_witness(self, u, v, window: ModeWindow):
+    def skew_symmetry_witness(self, u, v, window: ModeWindow, Fuv):
         """Composite vertex operators of (u, v) against the skew transform of
-        those of (v, u), coefficientwise on the window.  The products
-        u_(c0, C) v and v_(c0, C) u and their modes are held in tables local
-        to this call: a pair has few distinct products, and the scan reads
-        each of them many times.  Every term at (a0, b0) has t0-index total
-        a0 + b0, so a tuple past the witness ``tops`` is skipped."""
+        those of (v, u), coefficientwise on the window.  ``Fuv`` is
+        ``_composite_modes(u, v, window.states)``, which the caller shares
+        with :meth:`skew_involution_witness`; the products v_(c0, C) u and
+        their modes are held in a table local to this call: a pair has few
+        distinct products, and the scan reads each of them many times.  Every
+        term at (a0, b0) has t0-index total a0 + b0, so a tuple past the
+        witness ``tops`` is skipped."""
         sess = self.session
-        Fuv = self._composite_modes(u, v, window.states)
         Fvu = self._composite_modes(v, u, window.states)
         bound_vu = u.max_degree() + v.max_degree() - 1
         tops = [w.max_degree() + bound_vu - 1 for w in window.states]
@@ -221,14 +223,13 @@ class AxiomChecker:
                                 "rhs": state_to_json(sess.spec, rhs)}
         return None
 
-    def skew_involution_witness(self, u, v, window: ModeWindow):
+    def skew_involution_witness(self, u, v, window: ModeWindow, F):
         """Applying the skew transform twice must return the original
-        composite modes (binomial telescoping, checked on the window).  The
-        products u_(c0, C) v, their modes and the inner transforms TF are
-        held in tables local to this call, keyed by their arguments and the
-        state index; a tuple past the witness is skipped, as in
+        composite modes F = ``_composite_modes(u, v, window.states)``
+        (binomial telescoping, checked on the window).  The inner transforms
+        TF are held in a table local to this call, keyed by their arguments
+        and the state index; a tuple past the witness is skipped, as in
         :meth:`skew_symmetry_witness`."""
-        F = self._composite_modes(u, v, window.states)
         bound = u.max_degree() + v.max_degree() - 1
         TF = functools.cache(lambda c0, C, d0, D, si: self._skew_transform(
             lambda *args: F(*args, si), c0, C, d0, D, max(bound - c0, 0)))
@@ -371,8 +372,9 @@ def check_jacobi(checker, u, v, w, window, rng=None, spot_checks=10, label="") -
 def check_skew_symmetry(checker, u, v, window, label="") -> Finding:
     def run():
         checker.session.empty_working_sets()  # they hold one pair
-        wtn = checker.skew_symmetry_witness(u, v, window)
-        return wtn if wtn is not None else checker.skew_involution_witness(u, v, window)
+        Fuv = checker._composite_modes(u, v, window.states)  # one table for both witnesses
+        wtn = checker.skew_symmetry_witness(u, v, window, Fuv)
+        return wtn if wtn is not None else checker.skew_involution_witness(u, v, window, Fuv)
     return _finding("skew symmetry", window, {"states": label}, run)
 
 

@@ -19,11 +19,12 @@ every coefficient tuple that the degree witness proves zero.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .liecore import SpecFormatError, _integer, mi_sub, mi_zero
+from .liecore import SpecFormatError, _integer, _multidegree, mi_sub, mi_zero
 from .series import binom, expand_minus_y_plus_x, expand_x_minus_y, series_multiply
 from .states import Memo, StateVector, ZERO_STATE, _accumulate
 
@@ -111,8 +112,10 @@ class FieldHandle:
 
     ``key`` is the provenance tree (hashable); ``t0_offset`` is the integer s
     with modes (k0, k) sending degree d to degree d - k0 - s, which powers the
-    termination witnesses.  The evaluator ``_eval(k0, k, w)`` returns
-    ``ZERO_STATE`` itself on a zero w or past ``w.max_degree() - t0_offset``.
+    termination witnesses.  The evaluator ``_eval(k0, k, w)`` takes k as a
+    tuple of rank r, converted and checked where it entered the field space
+    (:meth:`FieldSpace.mode`), and returns ``ZERO_STATE`` itself on a zero w
+    or past ``w.max_degree() - t0_offset``.
     """
 
     __slots__ = ("key", "t0_offset", "_eval", "label")
@@ -143,14 +146,18 @@ class GeneratedSpace:
 class FieldSpace:
     """Factory and evaluation context for field handles over one module.
 
-    :meth:`Session.empty_working_sets` empties its :class:`Memo` tables:
+    :meth:`Session.empty_working_sets` empties its two :class:`Memo` tables:
     ``_mode_cache`` the product modes on (provenance, mode, state), as leaves
     recompute cheaply; ``_comm_cache`` the commutators of the one pair whose
     locality order is being settled (currents, or vertex operators of states
-    in the Jacobi checks), and ``_first_cache`` their inner applications,
-    both also emptied as soon as that order is settled.
+    in the Jacobi checks), also emptied as soon as that order is settled.
+    A commutator's inner applications are read from the tables of the
+    handles themselves: the module's action table for a current, the
+    session's vertex-mode tables for a state, ``_mode_cache`` for a product.
     Locality orders go in an unbounded dict, one per handle pair and window.
-    ``term_bound`` caps the terms of any product-mode sum.
+    ``term_bound`` caps the terms of any product-mode sum.  Every entry that
+    takes a multidegree converts and checks it once, by the config's integer
+    rule; the evaluators then take rank-r tuples unchecked.
     """
 
     def __init__(self, module, term_bound: int = 200_000):
@@ -159,22 +166,15 @@ class FieldSpace:
         self.term_bound = term_bound
         self._mode_cache = Memo()
         self._comm_cache = Memo()
-        self._first_cache = Memo()
         self._locality_cache = {}
 
     # -- handle constructors --------------------------------------------------
 
     def current(self, a) -> FieldHandle:
-        module, r = self.module, self.r
-        idx = module.spec.index_of(a)
-        label = module.spec.basis[idx]
-
-        def ev(m0, m, w):  # act_index keeps the witness of offset 0
-            if type(m) is tuple and len(m) == r:
-                return module.act_index(idx, m0, m, w)
-            return module.act(idx, m0, m, w)  # converts m or raises on its rank
-
-        return FieldHandle(("cur", idx), 0, ev, label)
+        idx = self.module.spec.index_of(a)
+        # act_index keeps the witness of offset 0
+        return FieldHandle(("cur", idx), 0, functools.partial(self.module.act_index, idx),
+                           self.module.spec.basis[idx])
 
     def identity(self) -> FieldHandle:
         zero = mi_zero(self.r)
@@ -231,7 +231,7 @@ class FieldSpace:
         first (raising LocalityError beyond the bound); without a window the
         caller takes responsibility for locality.
         """
-        m = tuple(m)
+        m = _multidegree(m, self.r)
         if window is not None:
             k = self.locality_order(a, b, window, bound if bound is not None else window.locality_bound)
             if k is None:
@@ -264,9 +264,9 @@ class FieldSpace:
         return w.max_degree() - h.t0_offset
 
     def mode(self, h: FieldHandle, m0: int, m, w: StateVector) -> StateVector:
-        """The (m0, m) mode of h applied to w; zero past :meth:`witness`,
-        which the handle's evaluator checks itself."""
-        return h._eval(m0, m, w)
+        """The (m0, m) mode of h applied to w, m a multidegree checked here;
+        zero past :meth:`witness`, which the handle's evaluator checks itself."""
+        return h._eval(m0, _multidegree(m, self.r), w)
 
     def _product_mode(self, a, m0, m, b, k0, k, w) -> StateVector:
         top = w.max_degree()
@@ -287,17 +287,8 @@ class FieldSpace:
         key = (a.key, b.key, p0, p, q0, q, w)
         out = self._comm_cache.get(key)
         if out is None:
-            out = (a._eval(p0, p, self._first(b, q0, q, w))
-                   - b._eval(q0, q, self._first(a, p0, p, w)))
+            out = a._eval(p0, p, b._eval(q0, q, w)) - b._eval(q0, q, a._eval(p0, p, w))
             self._comm_cache.put(key, out)
-        return out
-
-    def _first(self, h, m0, m, w) -> StateVector:  # read across a scan's row
-        key = (h.key, m0, m, w)
-        out = self._first_cache.get(key)
-        if out is None:
-            out = h._eval(m0, m, w)
-            self._first_cache.put(key, out)
         return out
 
     def locality_passes_at(self, a, b, k: int, window: ModeWindow):
@@ -335,7 +326,6 @@ class FieldSpace:
                 result = k
                 break
         self._comm_cache.empty()  # the order is settled; no entry is read again
-        self._first_cache.empty()
         self._locality_cache[ckey] = result
         return result
 
@@ -350,7 +340,7 @@ class FieldSpace:
         Independent of :meth:`_product_mode`'s index bookkeeping by design;
         agreement of the two is the master property of this module.
         """
-        m, k = tuple(m), tuple(k)
+        m, k = _multidegree(m, self.r), _multidegree(k, self.r)
         km = mi_sub(k, m)
         # term 1: Res_x0 [ (x0-y0)^m0 a(x0, m) b(y0, k-m) w ]
         i_max = max(self.witness(b, w) - k0, -1)
@@ -444,7 +434,7 @@ class FieldSpace:
         """Verify that the products a_(j,m) b equal the supplied commutator
         expansion coefficients for j = 0..k and vanish for the next two
         values of j.  Returns the failures, empty when every product holds."""
-        m = tuple(m)
+        m = _multidegree(m, self.r)
         failures = []
         k = len(coeffs) - 1
         for j in range(k + 3):

@@ -72,6 +72,18 @@ def _integer(name: str, value, low=None) -> int:
     return value
 
 
+def _multidegree(value, r: int) -> tuple:
+    """``value`` as a multidegree of rank r.  A tuple of rank r is the engine's
+    own form and passes as it is; any other sequence of r entries is converted
+    by the :func:`_integer` rule.  Another rank, or an entry that breaks the
+    rule, is a :class:`SpecFormatError`."""
+    if type(value) is tuple and len(value) == r:
+        return value
+    if len(value) != r:
+        raise SpecFormatError(f"multidegree {value!r} has rank {len(value)}, expected {r}")
+    return tuple(_integer("multidegree", x) for x in value)
+
+
 class LieAlgebraSpec:
     """A finite-dimensional Lie algebra presented by structure constants.
 

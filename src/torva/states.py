@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .liecore import (LieAlgebraSpec, Scalar, SpecFormatError, ToroidalAlgebra,
-                      ToroidalElement, frac, mi_add)
+                      ToroidalElement, _integer, _multidegree, frac, mi_add)
 
 _ZERO = 0
 _ONE = 1
@@ -240,13 +240,9 @@ class Module:
 
     def act(self, a, n0: int, n, state: StateVector) -> StateVector:
         """Apply the mode a(n0, n) to a state; exact.  For external callers:
-        ``a`` (a label or index) and the rank of ``n`` (any sequence) are
-        checked, and raise :class:`SpecFormatError`."""
-        a = self.spec.index_of(a)
-        n = tuple(n)
-        if len(n) != self.r:
-            raise SpecFormatError(f"multidegree {n} has rank {len(n)}, expected {self.r}")
-        return self.act_index(a, n0, n, state)
+        ``a`` (a label or index) and the multidegree ``n`` are checked, and
+        raise :class:`SpecFormatError`."""
+        return self.act_index(self.spec.index_of(a), n0, _multidegree(n, self.r), state)
 
     def act_elem(self, x: ToroidalElement, w: StateVector) -> StateVector:
         """Loop+centre action of x, the centre as the level scalar; a
@@ -288,13 +284,10 @@ class VacuumModule(Module):
         return StateVector.of(PBWMonomial((), self.spec.index_of(a)))
 
     def monomial(self, word, tail=None) -> StateVector:
-        """Build a state from an arbitrary (unordered) creation word."""
-        word = tuple((int(k), self.spec.index_of(a), tuple(m)) for (k, a, m) in word)
-        for (k, _, m) in word:
-            if k < 1:
-                raise SpecFormatError(f"creation exponent must be >= 1, got {k}")
-            if len(m) != self.r:
-                raise SpecFormatError(f"multidegree {m} has rank {len(m)}, expected {self.r}")
+        """Build a state from an arbitrary (unordered) creation word; each
+        exponent k >= 1 and multidegree m is checked by the config's integer rule."""
+        word = tuple((_integer("creation exponent", k, 1), self.spec.index_of(a),
+                      _multidegree(m, self.r)) for (k, a, m) in word)
         t = None if tail in (None, "1") else self.spec.index_of(tail)
         out = {PBWMonomial(w, t): c for w, c in self._normalize_word(word).items()}
         return StateVector(out)
@@ -411,9 +404,7 @@ class ShiftedModule(Module):
     base module's tables."""
 
     def __init__(self, base: VacuumModule, shift):
-        shift = tuple(shift)
-        if len(shift) != base.r:
-            raise SpecFormatError("shift rank mismatch")
+        shift = _multidegree(shift, base.r)
         super().__init__(base.algebra, base.level, f"shifted({base.level};{shift})")
         self.base, self.shift = base, shift
 
@@ -445,7 +436,7 @@ def state_from_json(module: VacuumModule, data: list) -> StateVector:
             word = []
             for entry in item.get("word", []):
                 label, k, *m = entry
-                word.append((k, label, tuple(m)))
+                word.append((k, label, m))
             coeff = item.get("coeff", 1)
             if isinstance(coeff, (float, bool)):
                 raise SpecFormatError(f"state coefficient {coeff!r} is a float or bool")

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .fields import FieldHandle, FieldSpace, ModeWindow, component_sum
 from .liecore import (LieAlgebraSpec, Scalar, SpecFormatError, ToroidalAlgebra,
-                      frac, mi_sub, mi_zero)
+                      _multidegree, frac, mi_sub, mi_zero)
 from .states import (Memo, PBWMonomial, StateVector, VACUUM_MONO,
                      VacuumModule, ZERO_STATE, _accumulate, state_from_json)
 
@@ -49,9 +49,10 @@ class Session:
         self._zero_mi = mi_zero(r)
 
     def empty_working_sets(self):
-        """Empty every memo table but the module's two, which every group rereads."""
+        """Empty the session's two vertex-mode tables and the field space's
+        two tables; the module's two stay, as every group rereads them."""
         for table in (self._vm_cache, self._vm_state_cache, self.fields._mode_cache,
-                      self.fields._comm_cache, self.fields._first_cache):
+                      self.fields._comm_cache):
             table.empty()
 
     # -- states ---------------------------------------------------------------
@@ -125,9 +126,7 @@ class Session:
         """The (n0, n) mode of the vertex operator of the state v, applied to
         w in the given restricted module (default: the vacuum module)."""
         mod = module or self.module
-        n = tuple(n)
-        if len(n) != self.r:  # the module is reached through its unchecked act_index
-            raise SpecFormatError(f"multidegree {n} has rank {len(n)}, expected {self.r}")
+        n = _multidegree(n, self.r)  # the module is reached through its unchecked act_index
         if isinstance(v, PBWMonomial):
             v = StateVector.of(v)
         terms = v.terms
@@ -146,31 +145,33 @@ class Session:
         return cached
 
     def _vm_mono(self, mod, mono: PBWMonomial, n0: int, n, w: StateVector) -> StateVector:
+        """The (n0, n) mode of a monomial's vertex operator on w.  A word-less
+        monomial's mode is the identity on the vacuum or the module's action
+        on a tail, whose table already holds it; so ``_vm_cache`` stores the
+        modes of word states only, by recursion on the leftmost letter."""
         if not w or n0 > w.max_degree() + mono.degree - 1:
             return ZERO_STATE
+        if not mono.word:
+            if mono.tail is None:
+                return w if (n0 == -1 and n == self._zero_mi) else ZERO_STATE
+            return mod.act_index(mono.tail, n0, n, w)
         key = (mod.key, mono, n0, n, w)
         cached = self._vm_cache.get(key)
         if cached is not None:
             return cached
-        if not mono.word:
-            if mono.tail is None:
-                result = w if (n0 == -1 and n == self._zero_mi) else ZERO_STATE
-            else:
-                result = mod.act_index(mono.tail, n0, n, w)
-        else:
-            (k1, a, m1) = mono.word[0]
-            rest = PBWMonomial(mono.word[1:], mono.tail)
-            wdeg = w.max_degree()
-            result = StateVector.adopt(component_sum(
-                functools.partial(mod.act_index, a), m1,
-                functools.partial(self._vm_mono, mod, rest), mi_sub(n, m1),
-                -k1, n0, w, wdeg + rest.degree - 1 - n0, wdeg))
+        (k1, a, m1) = mono.word[0]
+        rest = PBWMonomial(mono.word[1:], mono.tail)
+        wdeg = w.max_degree()
+        result = StateVector.adopt(component_sum(
+            functools.partial(mod.act_index, a), m1,
+            functools.partial(self._vm_mono, mod, rest), mi_sub(n, m1),
+            -k1, n0, w, wdeg + rest.degree - 1 - n0, wdeg))
         self._vm_cache.put(key, result)
         return result
 
     def product(self, u, m0: int, m, v: StateVector) -> StateVector:
         """The algebra product u_(m0, m) v inside the vacuum module."""
-        return self.vertex_mode(u, m0, tuple(m), v)
+        return self.vertex_mode(u, m0, m, v)
 
     def field_of(self, v: StateVector, module=None) -> FieldHandle:
         """The vertex operator of v on a restricted module (default: the

@@ -16,7 +16,8 @@ from torva.axioms import (GROUPS, AxiomChecker, CapExceeded, _derivative_finding
                           check_jacobi, check_skew_symmetry, check_vacuum_expansion,
                           mutation_catalog, sample_state)
 
-from conftest import CONFIG_DIR, abelian_spec, forget_memos, sl2_spec, small_window
+from conftest import (CONFIG_DIR, abelian_spec, forget_memos, report_digest, sl2_spec,
+                      small_window)
 
 
 @pytest.fixture(scope="module")
@@ -528,19 +529,6 @@ def test_mutant_witnesses_are_fixed(group):
     assert _mutant_rows(group) == MUTANT_WITNESSES[group]
 
 
-def _report_digest(report):
-    """SHA-256 of a report without its ``wall_ms`` keys, as the benchmark
-    harness hashes it."""
-    def strip(obj):
-        if isinstance(obj, dict):
-            return {k: strip(v) for k, v in obj.items() if k != "wall_ms"}
-        if isinstance(obj, list):
-            return [strip(v) for v in obj]
-        return obj
-    blob = json.dumps(strip(report), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 # The passing report of every group on the r1 config; a change that alters a
 # report on purpose records the new digest here.
 SUITE_R1_DIGEST = "f78ae42bbdda400b7a45e30b0627fcd4e7fc0606a5ad4869d7fb2a1549f2289b"
@@ -552,7 +540,7 @@ def test_suite_report_digest_is_pinned():
     win, = cfg.build_windows(session)
     rep = run_suite(session, win, seed=cfg.seed, samples=cfg.samples)
     assert rep.ok
-    assert _report_digest(rep.to_json()) == SUITE_R1_DIGEST
+    assert report_digest(rep.to_json()) == SUITE_R1_DIGEST
 
 
 def test_ordinary_jacobi_on_ideal(s, ch, win):

@@ -12,6 +12,7 @@ import sys
 
 import torva.cli  # noqa: F401  (imports every layer, as the tracer does)
 from torva import SessionConfig
+from torva.states import Memo
 
 from conftest import CONFIG_DIR
 
@@ -55,6 +56,24 @@ def test_every_cache_path_is_a_counted_table():
         if not all(hasattr(table, name) for name in ("hits", "misses", "__len__")):
             bad.append(f"{prefix} = Session.{path}")
     assert not bad, f"bench/tracer.py reads memo tables that no longer exist: {bad}"
+
+
+def test_the_tracer_reads_every_memo_table():
+    # a table the tracer does not read is invisible in the benchmark's result
+    tracer = _load_tracer()
+    cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    session = cfg.build_session()
+    traced = set()
+    for path in tracer.CACHES.values():
+        table = session
+        for part in path.split("."):
+            table = getattr(table, part, None)
+        traced.add(id(table))
+    owners = {"": session, "module.": session.module, "fields.": session.fields}
+    untraced = [prefix + name for prefix, owner in owners.items()
+                for name, table in vars(owner).items()
+                if isinstance(table, Memo) and id(table) not in traced]
+    assert not untraced, f"bench/tracer.py does not read these memo tables: {untraced}"
 
 
 def test_binom_keeps_its_cache_info():

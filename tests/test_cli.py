@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from conftest import report_digest
+
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 
@@ -96,6 +98,20 @@ def test_malformed_window_exit_2(cfg, tmp_path, window):
     out = run_cli(["--config", str(bad), "field", "e"])
     assert out.returncode == 2, out.stderr
     assert "malformed mode window" in out.stderr
+
+
+@pytest.mark.parametrize("entry", [["f", 1.7, 0], ["f", "2", 0], ["f", True, 0], ["f", 1, 0.5]],
+                         ids=["k_float", "k_string", "k_bool", "m_float"])
+def test_window_state_json_takes_the_integer_rule_exit_2(cfg, tmp_path, entry):
+    # a state written as JSON obeys the integer rule of the window fields
+    payload = json.loads(open(cfg).read())
+    payload["windows"][0]["states"] = ["vac", [{"word": [entry], "tail": "1", "coeff": "1"}]]
+    bad = tmp_path / "bad_cfg.json"
+    bad.write_text(json.dumps(payload))
+    out = run_cli(["--config", str(bad), "field", "vac"])
+    assert out.returncode == 2, out.stderr
+    assert "must be an integer" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("states", ["e", "vac"])
@@ -277,6 +293,11 @@ def test_v0_command(cfg, tmp_path):
     assert data["graded_dims"]["1"] == 3  # dim g * |box| = 3 * 1
 
 
+# The v0 report on the r1 config; a change that alters it on purpose records
+# the new digest here.
+V0_R1_DIGEST = "b784c9ddfd1e74d28bf4a09a27a22307b2424f736ecddcc484c4d323c5895b63"
+
+
 def test_v0_builds_the_ideal_once(tmp_path, monkeypatch):
     from torva import cli
     from torva.vertexops import Session
@@ -293,7 +314,9 @@ def test_v0_builds_the_ideal_once(tmp_path, monkeypatch):
     config = os.path.join(ROOT, "configs", "session_sl2_r1.json")
     assert cli.main(["--config", config, "v0", "--out", str(out)]) == 0
     assert len(calls) == 1
-    assert json.load(open(out))["basis_size"] == 190
+    report = json.load(open(out))
+    assert report["basis_size"] == 190
+    assert report_digest(report) == V0_R1_DIGEST
 
 
 @pytest.mark.parametrize("collecting", [True, False])

@@ -86,23 +86,22 @@ def test_mode_table_holds_product_modes_only():
     assert (len(fs._mode_cache), fs._mode_cache.hits) == (1, 1)
 
 
-def test_first_applications_are_kept_per_pair():
-    # the inner applications a(p0, p) w and b(q0, q) w of the locality scan
-    # are dropped with the pair's commutators; a scan run on its own gives
-    # the verdicts of one run inside locality_order
+def test_a_scan_on_its_own_keeps_the_verdicts_and_settling_empties_the_pair():
+    # a scan run on its own gives the verdicts of one run inside
+    # locality_order, and settling the order drops the pair's commutators
     s1 = Session(sl2_spec(), 1, 1)
     w1 = small_window(s1, extra_states=[s1.parse_state("f(-1;0) vac")])
     fs, cur = s1.fields, currents(s1)
     assert fs.locality_passes_at(cur["e"], cur["f"], 1, w1) is not None
     assert fs.locality_passes_at(cur["e"], cur["f"], 2, w1) is None
-    assert len(fs._first_cache) > 0
+    assert len(fs._comm_cache) > 0
     assert fs.locality_order(cur["e"], cur["f"], w1) == 2
-    assert len(fs._first_cache) == 0 and len(fs._comm_cache) == 0
+    assert len(fs._comm_cache) == 0
 
 
 def test_current_mode_takes_any_multidegree_sequence(s):
-    # the evaluator's unchecked path is for rank-r tuples; anything else goes
-    # through the module's checked action
+    # FieldSpace.mode converts a sequence to the rank-r tuple that the
+    # evaluators take, and refuses a wrong rank
     e, w = s.fields.current("e"), s.parse_state("f(-1;0) vac")
     for m0 in range(-2, 2):
         for m in range(-1, 2):
@@ -400,13 +399,42 @@ def test_every_handle_kind_keeps_its_witness(s, win):
                     assert fs.mode(handle, k0, n, w) is ZERO_STATE, (kind, k0, n)
                 for k0 in range(win.m0_lo - 1, top + 1):
                     assert fs.mode(handle, k0, n, w) == independent(k0, n, w), (kind, k0, n)
-    # the checked path of a current converts a sequence and refuses a wrong rank
+    # the entry converts a sequence and refuses a wrong rank
     w = s.parse_state("f(-1;0) vac")
     for handle in (e, fs.derivative(0, e)):
         for k0 in range(-2, 2):
             assert fs.mode(handle, k0, [1], w) == fs.mode(handle, k0, (1,), w)
         with pytest.raises(SpecFormatError):
             fs.mode(handle, 1, [0, 0], w)
+
+
+def test_one_multidegree_rule_at_every_field_entry(s, win):
+    # a multidegree is converted and checked once, where it enters the field
+    # space, by the config's integer rule; the evaluators take the tuple
+    fs = s.fields
+    e, f, one = fs.current("e"), fs.current("f"), fs.identity()
+    w = s.parse_state("f(-1;0) vac")
+    assert fs.mode(one, -1, [0], w) == fs.mode(one, -1, (0,), w) == w
+    prod = fs.product(e, 0, (1,), f, window=win)
+    for k0 in range(-2, 2):
+        assert fs.mode(prod, k0, [1], w) == fs.mode(prod, k0, (1,), w)
+    assert fs.mode(e, -1, [1.0], w) == fs.mode(e, -1, (1,), w)
+    for bad in ((), [0.5], ["1"], [True]):
+        for handle in (e, fs.derivative(0, e), fs.derivative(1, e), prod):
+            with pytest.raises(SpecFormatError):
+                fs.mode(handle, 1, bad, w)
+    wrong_rank = {
+        "product": lambda: fs.product(e, 0, (0, 0), f, window=win),
+        "residue_oracle_mode m": lambda: fs.residue_oracle_mode(e, 0, (0, 0), f, 0, (0,), w),
+        "residue_oracle_mode k": lambda: fs.residue_oracle_mode(e, 0, (0,), f, 0, [0, 0], w),
+        "transfer_check": lambda: fs.transfer_check(e, f, [], (0, 0), win),
+    }
+    tables = (s.module._act_cache, fs._mode_cache, fs._comm_cache)
+    for entry, call in wrong_rank.items():
+        lookups = [t.hits + t.misses for t in tables]
+        with pytest.raises(SpecFormatError):
+            call()
+        assert [t.hits + t.misses for t in tables] == lookups, entry  # refused at the entry
 
 
 def test_memo_counters_are_pinned_after_locality_and_derivative():
@@ -417,15 +445,12 @@ def test_memo_counters_are_pinned_after_locality_and_derivative():
     win, = cfg.build_windows(session)
     tables = {"act": session.module._act_cache, "word": session.module._word_cache,
               "mode": session.fields._mode_cache, "comm": session.fields._comm_cache,
-              "first": session.fields._first_cache, "vm": session._vm_cache,
-              "vm_state": session._vm_state_cache}
+              "vm": session._vm_cache, "vm_state": session._vm_state_cache}
     want = {
-        "locality": {"act": (5929, 2429), "word": (290, 561), "mode": (0, 0),
-                     "comm": (1930, 4263), "first": (7773, 753), "vm": (0, 0),
-                     "vm_state": (0, 0)},
-        "derivative": {"act": (81139, 5427), "word": (836, 1663), "mode": (3888, 14904),
-                       "comm": (7355, 13881), "first": (25095, 2667), "vm": (0, 0),
-                       "vm_state": (0, 0)},
+        "locality": {"act": (12574, 2429), "word": (290, 561), "mode": (0, 0),
+                     "comm": (1930, 4263), "vm": (0, 0), "vm_state": (0, 0)},
+        "derivative": {"act": (100363, 5427), "word": (836, 1663), "mode": (3888, 14904),
+                       "comm": (7355, 13881), "vm": (0, 0), "vm_state": (0, 0)},
     }
     for group, counts in want.items():
         assert run_suite(session, win, seed=cfg.seed, checks=[group],

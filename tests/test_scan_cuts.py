@@ -113,10 +113,11 @@ def compare_locality(fs, a, b, window, seen):
 def compare_checker_scans(ch, window, seen):
     gens = [ch.session.tail(x) for x in ch.session.spec.basis]
     for u, v in itertools.product(gens, repeat=2):
-        got = ch.skew_symmetry_witness(u, v, window)
+        Fuv = ch._composite_modes(u, v, window.states)
+        got = ch.skew_symmetry_witness(u, v, window, Fuv)
         assert got == uncut_skew_symmetry(ch, u, v, window)
         tally(seen, "skew", got)
-        got = ch.skew_involution_witness(u, v, window)
+        got = ch.skew_involution_witness(u, v, window, Fuv)
         assert got == uncut_skew_involution(ch, u, v, window)
         tally(seen, "involution", got)
         for w, l in zip(window.states, (0, 1, 2)):

@@ -53,6 +53,21 @@ def test_vertex_mode_depth1_is_shifted_current(s, win):
                 assert got.is_zero()
 
 
+def test_vertex_mode_table_stores_word_states_only():
+    # a word-less monomial's mode is the identity or the module's action,
+    # whose own table holds it; only the modes of word states are stored
+    s1 = Session(sl2_spec(), 1, 1)
+    w1 = small_window(s1, extra_states=[s1.parse_state("f(-1;0) vac")])
+    states = [s1.vacuum(), s1.tail("e"), s1.tail("e") + s1.tail("h").scaled(2),
+              s1.parse_state("e(-1;1) f(-1;0) h"), s1.parse_state("h(-2;0) vac")]
+    for v in states:
+        for (n0, n) in w1.modes():
+            for w in w1.states:
+                s1.vertex_mode(v, n0, n, w)
+    monos = [key[1] for key in s1._vm_cache._data]
+    assert monos and all(mono.word for mono in monos)
+
+
 def test_product_generator_table_all_levels():
     for level in (0, 1, -2):
         s = Session(sl2_spec(), 1, level)
