@@ -6,7 +6,7 @@ from .liecore import (LieAlgebraSpec, SpecFormatError, ToroidalAlgebra,
                       ToroidalElement, validate_lie_spec)
 from .states import (PBWMonomial, ShiftedModule, StateVector, VacuumModule,
                      state_from_json, state_to_json)
-from .fields import (FieldHandle, FieldSpace, GeneratedSpace, LocalityError,
+from .fields import (FieldHandle, FieldSpace, LocalityError,
                      ModeWindow, TerminationError)
 from .vertexops import Session, VacuumIdeal, echelonize, loop_affine_graded_dims
 from .axioms import (AxiomChecker, Finding, SuiteReport, check_jacobi,

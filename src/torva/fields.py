@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .liecore import SpecFormatError, _integer, _multidegree, mi_sub, mi_zero
@@ -78,10 +77,10 @@ class ModeWindow:
             raise SpecFormatError("empty mode window")
         if not self.states:
             raise SpecFormatError("mode window needs at least one test state")
-
-    @property
-    def r(self) -> int:
-        return len(self.m_box)
+        zero = [i for i, w in enumerate(self.states) if not w]
+        if zero:
+            # every mode maps 0 to 0, so a zero state would read any locality order as 0
+            raise SpecFormatError(f"mode window test states {zero} are zero")
 
     def m0_values(self):
         return range(self.m0_lo, self.m0_hi + 1)
@@ -128,19 +127,6 @@ class FieldHandle:
 
     def __repr__(self):
         return f"Field({self.label})"
-
-
-@dataclass
-class GeneratedSpace:
-    """Result of bounded-depth closure generation: handles with provenance,
-    the pairwise locality orders established on the window, and a build log."""
-    handles: list
-    depth: int
-    locality_orders: dict
-    log: list = field(default_factory=list)
-
-    def labels(self):
-        return [h.label for h in self.handles]
 
 
 class FieldSpace:
@@ -224,19 +210,13 @@ class FieldSpace:
         return FieldHandle(("D", i, a.key), off, ev, f"D{i}({a.label})")
 
     def product(self, a: FieldHandle, m0: int, m, b: FieldHandle,
-                window: Optional[ModeWindow] = None, bound: Optional[int] = None) -> FieldHandle:
-        """The (m0, m) product field of two mutually local handles.
-
-        When a window is supplied, pairwise locality is established on it
-        first (raising LocalityError beyond the bound); without a window the
-        caller takes responsibility for locality.
-        """
+                window: ModeWindow) -> FieldHandle:
+        """The (m0, m) product field of two handles, once their locality is
+        established on the window (LocalityError beyond its bound)."""
         m = _multidegree(m, self.r)
-        if window is not None:
-            k = self.locality_order(a, b, window, bound if bound is not None else window.locality_bound)
-            if k is None:
-                raise LocalityError(
-                    f"locality of ({a.label}, {b.label}) exceeds bound on the window")
+        if self.locality_order(a, b, window) is None:
+            raise LocalityError(
+                f"locality of ({a.label}, {b.label}) exceeds bound on the window")
         off = m0 + a.t0_offset + b.t0_offset
         label = f"({a.label})_({m0};{','.join(map(str, m))})({b.label})"
         hkey = ("prod", a.key, m0, m, b.key)
@@ -284,6 +264,8 @@ class FieldSpace:
     # -- locality -----------------------------------------------------------------
 
     def commutator(self, a, b, p0, p, q0, q, w) -> StateVector:
+        """[a(p0, p), b(q0, q)] w, with p and q multidegrees checked here."""
+        p, q = _multidegree(p, self.r), _multidegree(q, self.r)
         key = (a.key, b.key, p0, p, q0, q, w)
         out = self._comm_cache.get(key)
         if out is None:
@@ -369,63 +351,6 @@ class FieldSpace:
         target = (-1, -k0 - 1)  # Res_x0 then the y0^{-k0-1} coefficient
         out = prod1.get(target, ZERO_STATE) - prod2.get(target, ZERO_STATE)
         return out
-
-    # -- closure generation -----------------------------------------------------------
-
-    def generate(self, generators: Sequence[FieldHandle], depth: int,
-                 window: ModeWindow) -> GeneratedSpace:
-        """All window-mode products of the generators up to the nesting depth.
-
-        New handles are deduplicated by their exact mode fingerprint on the
-        window; pairwise locality of everything kept is re-verified and a
-        failure is raised, never swallowed.  Products at modes outside the
-        window box are not formed (logged once as policy).
-        """
-        log = [f"mode support restricted to the window box ({window.size} modes); "
-               "products at other modes are skipped"]
-        one = self.identity()
-        seeds = [one] + list(generators)
-
-        def fingerprint(h):
-            return tuple(self.mode(h, m0, m, w)
-                         for (m0, m) in window.modes() for w in window.states)
-
-        kept = []
-        seen = {}
-        for h in seeds:
-            fp = fingerprint(h)
-            seen[fp] = h
-            kept.append(h)
-        frontier = list(kept)
-        for d in range(1, depth + 1):
-            fresh = []
-            for left in ([one] + list(generators)):
-                for right in frontier:
-                    for (m0, m) in window.modes():
-                        h = self.product(left, m0, m, right, window=window)
-                        fp = fingerprint(h)
-                        if all(s.is_zero() for s in fp):
-                            continue  # collapsed to zero on the window
-                        if fp in seen:
-                            log.append(f"{h.label} duplicates {seen[fp].label} on the window")
-                            continue
-                        seen[fp] = h
-                        fresh.append(h)
-            log.append(f"depth {d}: {len(fresh)} new handles")
-            kept.extend(fresh)
-            frontier = fresh
-            if not fresh:
-                break
-        orders = {}
-        for i, hi_ in enumerate(kept):
-            for hj in kept[i:]:
-                ko = self.locality_order(hi_, hj, window)
-                if ko is None:
-                    raise LocalityError(
-                        f"closure element pair ({hi_.label}, {hj.label}) is not local "
-                        f"within bound {window.locality_bound} on the window")
-                orders[(hi_.label, hj.label)] = ko
-        return GeneratedSpace(kept, depth, orders, log)
 
     # -- bracket-to-product transfer ------------------------------------------------------
 

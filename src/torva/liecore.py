@@ -143,29 +143,6 @@ class LieAlgebraSpec:
     def pairing_basis(self, i: int, j: int) -> Rational:
         return self.form[i][j]
 
-    def bracket(self, u: dict, v: dict) -> dict:
-        """Bilinear extension of the structure constants to sparse vectors."""
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                ab = a * b
-                if not ab:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    s = out.get(k, _ZERO) + ab * c
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-        return out
-
-    def pairing(self, u: dict, v: dict) -> Rational:
-        total = _ZERO
-        for i, a in u.items():
-            for j, b in v.items():
-                total += a * b * self.form[i][j]
-        return total
-
     # -- mutation-test helpers (return fresh specs; never modify in place) --
 
     def with_structure_entry(self, i: int, j: int, k: int, delta: Scalar) -> "LieAlgebraSpec":
@@ -352,10 +329,6 @@ class ToroidalElement:
         return cls(r, {(a, m0, tuple(m)): frac(coeff)})
 
     @classmethod
-    def center(cls, r, coeff: Scalar = 1):
-        return cls(r, central=coeff)
-
-    @classmethod
     def derivation(cls, r, i, coeff: Scalar = 1):
         if not 0 <= i <= r:
             raise SpecFormatError(f"derivation index {i} out of range 0..{r}")
@@ -376,19 +349,6 @@ class ToroidalElement:
                 del loop[k]
         return ToroidalElement(self.r, loop, self.central + other.central,
                                tuple(a + b for a, b in zip(self.der, other.der)))
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, c: Scalar):
-        c = frac(c)
-        if not c:
-            return ToroidalElement(self.r)
-        return ToroidalElement(self.r, {k: v * c for k, v in self.loop.items()},
-                               self.central * c, tuple(v * c for v in self.der))
 
     def is_zero(self) -> bool:
         return not self.loop and not self.central and not any(self.der)

@@ -129,9 +129,6 @@ class StateVector:
         _accumulate(out, other, -1)
         return StateVector.adopt(out)
 
-    def __neg__(self):
-        return self.scaled(-1)
-
     def scaled(self, c: Scalar):
         """c times this state; a zero state or c = 1 gives the state itself."""
         if type(c) is not int:

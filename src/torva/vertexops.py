@@ -19,7 +19,7 @@ a single toroidal degree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -292,7 +292,7 @@ class Session:
                     nxt[new] = (self.module.act_index(a, -k, m, st), names[new[0]] + " " + label)
             states.extend(nxt.values())
             built = nxt
-        return VacuumIdeal.from_spanning(self, states)
+        return VacuumIdeal.from_spanning(states)
 
 
 def echelonize(states: Sequence[StateVector]):
@@ -348,33 +348,18 @@ class VacuumIdeal:
     """Window-restricted picture of the ideal generated by the cyclic vector:
     spanning states with provenance, an echelon basis, graded dimensions."""
 
-    session: Session
     spanning: list                      # (StateVector, provenance label)
     basis: list                         # echelonised StateVectors
     graded_dims: dict                   # degree -> dimension
-    by_lead: dict = field(init=False, repr=False)  # leading monomial -> basis row
-
-    def __post_init__(self):
-        self.by_lead = {min(b.terms, key=PBWMonomial.sort_key): b for b in self.basis}
 
     @classmethod
-    def from_spanning(cls, session: Session, states) -> "VacuumIdeal":
-        ideal = cls(session, list(states), echelonize([s for s, _ in states if s]), {})
-        dims = ideal.graded_dims
-        for lead in ideal.by_lead:
+    def from_spanning(cls, states) -> "VacuumIdeal":
+        basis = echelonize([s for s, _ in states if s])
+        dims = {}
+        for row in basis:
+            lead = min(row.terms, key=PBWMonomial.sort_key)
             dims[lead.degree] = dims.get(lead.degree, 0) + 1
-        return ideal
-
-    def contains(self, state: StateVector) -> bool:
-        """Exact membership in the echelon span."""
-        row = dict(state.terms)
-        while row:
-            lead = min(row, key=PBWMonomial.sort_key)
-            b = self.by_lead.get(lead)
-            if b is None:
-                return False
-            _subtract(row, row.pop(lead), b.terms, lead)
-        return True
+        return cls(list(states), basis, dims)
 
     def tail_free(self) -> bool:
         return all(s.is_tail_free() for s, _ in self.spanning)

@@ -114,6 +114,22 @@ def test_window_state_json_takes_the_integer_rule_exit_2(cfg, tmp_path, entry):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("state", [[], [{"word": [["e", 1, 0]], "tail": "1", "coeff": "0"}]],
+                         ids=["no_terms", "zero_coeff"])
+def test_zero_window_state_exit_2(cfg, tmp_path, state):
+    # a zero test state would read every locality order as 0: a config error,
+    # not a failed finding
+    payload = json.loads(open(cfg).read())
+    payload["windows"][0]["states"] = [state]
+    payload["checks"] = ["locality"]
+    bad = tmp_path / "bad_cfg.json"
+    bad.write_text(json.dumps(payload))
+    out = run_cli(["--config", str(bad), "axioms"])
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert "are zero" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("states", ["e", "vac"])
 def test_window_states_string_exit_2(cfg, tmp_path, states):
     # a string is not read one character at a time as labels

@@ -1,4 +1,4 @@
-"""Field engine: locality, products, derivatives, closure, the residue oracle."""
+"""Field engine: locality, products, derivatives, the residue oracle."""
 
 import os
 import random
@@ -79,7 +79,7 @@ def test_mode_table_holds_product_modes_only():
     assert fs.mode(cur["e"], 0, (0,), w) == s1.parse_state("h(-1;0) vac")
     assert fs.mode(fs.derivative(0, cur["e"]), 2, (0,), w) == s1.vacuum().scaled(-2)
     assert len(fs._mode_cache) == 0
-    prod = fs.product(cur["e"], 0, (0,), cur["f"])
+    prod = fs.product(cur["e"], 0, (0,), cur["f"], window=small_window(s1))
     assert fs.mode(prod, -1, (0,), w) == fs.mode(cur["h"], -1, (0,), w)
     assert len(fs._mode_cache) == 1
     assert fs.mode(prod, -1, (0,), w) == fs.mode(cur["h"], -1, (0,), w)
@@ -115,8 +115,9 @@ def test_current_mode_takes_any_multidegree_sequence(s):
 def test_locality_bound_exceeded_raises(s, win):
     cur = currents(s)
     assert s.fields.locality_order(cur["e"], cur["f"], win, bound=1) is None
+    tight = ModeWindow([win.m0_lo, win.m0_hi], win.m_box, win.states, locality_bound=1)
     with pytest.raises(LocalityError):
-        s.fields.product(cur["e"], 0, (0,), cur["f"], window=win, bound=1)
+        s.fields.product(cur["e"], 0, (0,), cur["f"], window=tight)
 
 
 def test_empty_window_rejected(s):
@@ -271,68 +272,16 @@ def test_termination_guard():
     tiny = Session(sl2_spec(), 1, 1, term_bound=1)
     win_t = small_window(tiny, extra_states=[tiny.parse_state("f(-1;0) e(-1;0) vac")])
     fs = tiny.fields
-    prod = fs.product(fs.current("e"), -3, (0,), fs.current("f"))
+    prod = fs.product(fs.current("e"), -3, (0,), fs.current("f"), window=win_t)
     with pytest.raises(TerminationError):
         fs.mode(prod, -1, (0,), win_t.states[-1])
 
 
-def test_generate_identity_only(s):
-    win = small_window(s, m0=(-1, 1))
-    space = s.fields.generate([], 3, win)
-    assert space.labels() == ["1"]
-
-
-def test_generate_depth1_closure(s):
-    win = ModeWindow([-1, 1], [[0, 0]], [s.vacuum(), s.tail("e")])
-    cur = currents(s)
-    space = s.fields.generate(list(cur.values()), 1, win)
-    assert "1" in space.labels()
-    # every pair local within a small order
-    assert max(space.locality_orders.values()) <= 4
-    # order-0 products are bracket currents: [h,e] = 2e shows up as a new
-    # handle whose window modes are twice the e-current's
-    fs = s.fields
-
-    def fingerprint(h):
-        return tuple(fs.mode(h, m0, m, w) for (m0, m) in win.modes() for w in win.states)
-
-    doubled_e = tuple(st.scaled(2) for st in fingerprint(cur["e"]))
-    assert any(fingerprint(h) == doubled_e for h in space.handles)
-    # the order-1 product of e and f collapses to level * identity, already
-    # present as the seed identity handle at level 1
-    one_fp = fingerprint(fs.identity())
-    assert any(fingerprint(h) == one_fp for h in space.handles)
-    # order-insensitivity: permuting the generators yields the same mode sets
-    space2 = s.fields.generate([cur["h"], cur["f"], cur["e"]], 1, win)
-
-    def fps(space_):
-        out = set()
-        for h in space_.handles:
-            out.add(tuple(s.fields.mode(h, m0, m, w)
-                          for (m0, m) in win.modes() for w in win.states))
-        return out
-    assert fps(space) == fps(space2)
-
-
-def test_generate_surfaces_locality_failure(s):
-    win = ModeWindow([-1, 1], [[0, 0]], [s.vacuum(), s.tail("e")], locality_bound=1)
-    cur = currents(s)
-    with pytest.raises(LocalityError):
-        s.fields.generate([cur["e"], cur["f"]], 1, win)
-
-
-def test_generate_depth2_locality_bound(s):
-    win = ModeWindow([0, 1], [[0, 0]], [s.vacuum(), s.tail("e")])
-    cur = currents(s)
-    space = s.fields.generate([cur["e"], cur["f"]], 2, win)
-    assert max(space.locality_orders.values()) <= 4
-
-
 def test_generated_products_match_closed_forms(s):
+    # at level 1 the (1, 0) product of e and f is the identity field: its
+    # mode -1 reads every test state back
     win = ModeWindow([-1, 1], [[0, 0]], [s.vacuum(), s.tail("e"), s.tail("f")])
     cur = currents(s)
-    space = s.fields.generate([cur["e"], cur["f"]], 1, win)
-    # the m0=1 product of e and f collapses to the scaled identity; find it
     fs = s.fields
     prod = fs.product(cur["e"], 1, (0,), cur["f"], window=win)
     for w in win.states:
@@ -419,6 +368,7 @@ def test_one_multidegree_rule_at_every_field_entry(s, win):
     for k0 in range(-2, 2):
         assert fs.mode(prod, k0, [1], w) == fs.mode(prod, k0, (1,), w)
     assert fs.mode(e, -1, [1.0], w) == fs.mode(e, -1, (1,), w)
+    assert fs.commutator(e, f, 0, [0], 0, [1], w) == fs.commutator(e, f, 0, (0,), 0, (1,), w)
     for bad in ((), [0.5], ["1"], [True]):
         for handle in (e, fs.derivative(0, e), fs.derivative(1, e), prod):
             with pytest.raises(SpecFormatError):
@@ -428,6 +378,8 @@ def test_one_multidegree_rule_at_every_field_entry(s, win):
         "residue_oracle_mode m": lambda: fs.residue_oracle_mode(e, 0, (0, 0), f, 0, (0,), w),
         "residue_oracle_mode k": lambda: fs.residue_oracle_mode(e, 0, (0,), f, 0, [0, 0], w),
         "transfer_check": lambda: fs.transfer_check(e, f, [], (0, 0), win),
+        "commutator p": lambda: fs.commutator(e, f, 0, (0, 0), 0, (0,), w),
+        "commutator q": lambda: fs.commutator(e, f, 0, (0,), 0, [0.5], w),
     }
     tables = (s.module._act_cache, fs._mode_cache, fs._comm_cache)
     for entry, call in wrong_rank.items():

@@ -125,7 +125,7 @@ def test_act_elem_rejects_derivations(s):
 def test_central_acts_as_level():
     s2 = Session(sl2_spec(), 1, Fraction(-2))
     from torva import ToroidalElement
-    c = ToroidalElement.center(1)
+    c = ToroidalElement(1, central=1)
     w = s2.tail("e")
     assert s2.module.act_elem(c, w) == w.scaled(-2)
 
