@@ -613,29 +613,27 @@ def _oracle_findings(session: Session, window: ModeWindow, rng, pairs: int) -> l
 def _derivative_findings(session: Session, window: ModeWindow) -> list:
     """Derivative handles against the generating-function shifts: the first
     slot obeys (D0 a)_(m0,m) b = -m0 a_(m0-1,m) b and
-    (Di a)_(m0,m) b = -m_i a_(m0,m) b.  A reference product is read again
-    only within its own generator pair, so the session's working sets are
-    emptied when the check moves to the next pair."""
+    (Di a)_(m0,m) b = -m_i a_(m0,m) b.  A left side's mode is read once; a
+    reference product's modes are read again only within their generator
+    pair, so they are held in a table local to the pair, as
+    :meth:`AxiomChecker._composite_modes` holds a skew pair's."""
     fs = session.fields
+    states = window.states
 
     def run():
         currents = [fs.current(a) for a in session.spec.basis]
-        for n, (ha, hb) in enumerate(itertools.product(currents, repeat=2)):
-            if n:  # a pair's reference products are read only within it
-                session.empty_working_sets()
+        for ha, hb in itertools.product(currents, repeat=2):
+            ref = functools.cache(lambda c0, C: fs.product(ha, c0, C, hb, window=window))
+            ref_mode = functools.cache(
+                lambda c0, C, k0, k, si: fs.mode(ref(c0, C), k0, k, states[si]))
             for i in range(session.r + 1):
                 da = fs.derivative(i, ha)
                 for (m0, m) in window.modes():
                     lhs = fs.product(da, m0, m, hb, window=window)
-                    if i == 0:
-                        ref = fs.product(ha, m0 - 1, m, hb, window=window)
-                        scale = -m0
-                    else:
-                        ref = fs.product(ha, m0, m, hb, window=window)
-                        scale = -m[i - 1]
+                    c0, scale = (m0 - 1, -m0) if i == 0 else (m0, -m[i - 1])
                     for (k0, k) in window.modes():
-                        for w in window.states:
-                            if fs.mode(lhs, k0, k, w) != fs.mode(ref, k0, k, w).scaled(scale):
+                        for si, w in enumerate(states):
+                            if fs.mode(lhs, k0, k, w) != ref_mode(c0, m, k0, k, si).scaled(scale):
                                 return {"pair": [ha.label, hb.label], "i": i,
                                         "product_mode": [m0, list(m)], "mode": [k0, list(k)]}
         return None

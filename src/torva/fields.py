@@ -114,15 +114,19 @@ class FieldHandle:
     termination witnesses.  The evaluator ``_eval(k0, k, w)`` takes k as a
     tuple of rank r, converted and checked where it entered the field space
     (:meth:`FieldSpace.mode`), and returns ``ZERO_STATE`` itself on a zero w
-    or past ``w.max_degree() - t0_offset``.
+    or past ``w.max_degree() - t0_offset``.  A product's ``_eval`` stores
+    its modes; its ``_compute`` gives the same mode unstored, for a check's
+    one-time read (:meth:`FieldSpace.mode`).  Other handles store nothing
+    themselves and have no ``_compute``.
     """
 
-    __slots__ = ("key", "t0_offset", "_eval", "label")
+    __slots__ = ("key", "t0_offset", "_eval", "_compute", "label")
 
     def __init__(self, key, t0_offset: int, evaluate: Callable, label: str):
         self.key = key
         self.t0_offset = t0_offset
         self._eval = evaluate
+        self._compute = None
         self.label = label
 
     def __repr__(self):
@@ -133,13 +137,16 @@ class FieldSpace:
     """Factory and evaluation context for field handles over one module.
 
     :meth:`Session.empty_working_sets` empties its two :class:`Memo` tables:
-    ``_mode_cache`` the product modes on (provenance, mode, state), as leaves
-    recompute cheaply; ``_comm_cache`` the commutators of the one pair whose
-    locality order is being settled (currents, or vertex operators of states
-    in the Jacobi checks), also emptied as soon as that order is settled.
-    A commutator's inner applications are read from the tables of the
-    handles themselves: the module's action table for a current, the
-    session's vertex-mode tables for a state, ``_mode_cache`` for a product.
+    ``_mode_cache`` the product modes on (provenance, mode, state) that the
+    engine reads again, those of a product read as a factor of another
+    product or inside a locality commutator (a check's read, :meth:`mode`,
+    stores nothing, and leaves recompute cheaply); ``_comm_cache`` the
+    commutators of the one pair whose locality order is being settled
+    (currents, or vertex operators of states in the Jacobi checks), also
+    emptied as soon as that order is settled.  A commutator's inner
+    applications are read from the tables of the handles themselves: the
+    module's action table for a current, the session's vertex-mode tables
+    for a state, ``_mode_cache`` for a product.
     Locality orders go in an unbounded dict, one per handle pair and window.
     ``term_bound`` caps the terms of any product-mode sum.  Every entry that
     takes a multidegree converts and checks it once, by the config's integer
@@ -235,7 +242,14 @@ class FieldSpace:
                 table.hits += 1
             return out
 
-        return FieldHandle(hkey, off, ev, label)
+        def compute(k0, k, w):
+            if not w.terms or k0 > w.max_degree() - off:
+                return ZERO_STATE
+            return self._product_mode(a, m0, m, b, k0, k, w)
+
+        handle = FieldHandle(hkey, off, ev, label)
+        handle._compute = compute
+        return handle
 
     # -- evaluation -------------------------------------------------------------
 
@@ -245,8 +259,9 @@ class FieldSpace:
 
     def mode(self, h: FieldHandle, m0: int, m, w: StateVector) -> StateVector:
         """The (m0, m) mode of h applied to w, m a multidegree checked here;
-        zero past :meth:`witness`, which the handle's evaluator checks itself."""
-        return h._eval(m0, _multidegree(m, self.r), w)
+        zero past :meth:`witness`, which the handle's evaluator checks itself.
+        A check's read: a product's mode is computed, not stored."""
+        return (h._compute or h._eval)(m0, _multidegree(m, self.r), w)
 
     def _product_mode(self, a, m0, m, b, k0, k, w) -> StateVector:
         top = w.max_degree()

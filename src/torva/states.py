@@ -296,8 +296,14 @@ class VacuumModule(Module):
 
         Adjacent transpositions emit bracket corrections one letter shorter,
         so the rewriting terminates (length strictly drops on corrections,
-        inversion count on swaps).
+        inversion count on swaps).  ``_word_cache`` holds rewrites only: a
+        canonical word is its own form and is never looked up.
         """
+        for i in range(len(word) - 1):
+            if _mode_key(word[i]) > _mode_key(word[i + 1]):
+                break
+        else:
+            return {word: _ONE}
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached

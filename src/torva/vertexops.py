@@ -299,15 +299,18 @@ def echelonize(states: Sequence[StateVector]):
     """Reduced row echelon form over Q of a list of states, for the monomial
     order ``PBWMonomial.sort_key``: the pivot rows as StateVectors (pivot
     coefficient 1, every pivot lead cleared from all other rows), in pivot
-    order.  A row whose lead coefficient is already 1 is not divided.
+    order.  A row whose lead coefficient is already 1 is not divided, and a
+    row that no step changes is returned as its input state itself; an
+    input's terms are copied before a step changes them, never changed.
 
     Forward elimination reduces each incoming row only at its leading
     monomial, so a stored row may still hold the leads of other rows; one
     back-substitution pass, largest lead first, then removes them.  The work
     follows the fill of the rows, not the square of their number."""
     pivots = {}  # leading monomial -> row dict, reduced at its lead only
+    given = {}   # leading monomial -> the input state whose own terms are its row
     for st in states:
-        row = dict(st.terms)
+        row = st.terms
         while row:
             lead = min(row, key=PBWMonomial.sort_key)
             pivot = pivots.get(lead)
@@ -315,8 +318,12 @@ def echelonize(states: Sequence[StateVector]):
                 if row[lead] != 1:  # a unit lead is kept, so integer rows stay integer
                     inv = Fraction(1) / row[lead]  # Fraction division, never int / int
                     row = {mo: v * inv for mo, v in row.items()}
+                elif row is st.terms:
+                    given[lead] = st
                 pivots[lead] = row
                 break
+            if row is st.terms:
+                row = dict(row)
             _subtract(row, row.pop(lead), pivot, lead)
     leads = sorted(pivots, key=PBWMonomial.sort_key)
     reduced = {}  # leading monomial -> fully reduced row
@@ -324,10 +331,15 @@ def echelonize(states: Sequence[StateVector]):
         row = pivots[lead]
         # rows in ``reduced`` hold no pivot lead but their own, so subtracting
         # one never changes the coefficient of another lead in ``row``
-        for mo in [mo for mo in row if mo in reduced]:
+        found = [mo for mo in row if mo in reduced]
+        if found and given.pop(lead, None) is not None:
+            row = dict(row)
+        for mo in found:
             _subtract(row, row.pop(mo), reduced[mo], mo)
         reduced[lead] = row
-    return [StateVector(reduced[lead]) for lead in leads]
+    # every changed row was built here and holds no zero term
+    return [given[lead] if lead in given else StateVector.adopt(reduced[lead])
+            for lead in leads]
 
 
 def _subtract(row: dict, c, other: dict, skip) -> None:

@@ -72,18 +72,27 @@ def test_commutator_table_holds_one_pair():
 
 def test_mode_table_holds_product_modes_only():
     # a current's mode is one memoised module action and a derivative's is its
-    # base's mode times an integer: neither is stored, a product mode is
+    # base's mode times an integer: neither is stored; a check's read of a
+    # product is computed, not stored; a product read as a factor of another
+    # product is stored once per mode and then hit
     s1 = Session(sl2_spec(), 1, 1)
-    fs, cur = s1.fields, currents(s1)
+    fs, cur, win1 = s1.fields, currents(s1), small_window(s1)
     w = s1.parse_state("f(-1;0) vac")
+    table = fs._mode_cache
     assert fs.mode(cur["e"], 0, (0,), w) == s1.parse_state("h(-1;0) vac")
     assert fs.mode(fs.derivative(0, cur["e"]), 2, (0,), w) == s1.vacuum().scaled(-2)
-    assert len(fs._mode_cache) == 0
-    prod = fs.product(cur["e"], 0, (0,), cur["f"], window=small_window(s1))
-    assert fs.mode(prod, -1, (0,), w) == fs.mode(cur["h"], -1, (0,), w)
-    assert len(fs._mode_cache) == 1
-    assert fs.mode(prod, -1, (0,), w) == fs.mode(cur["h"], -1, (0,), w)
-    assert (len(fs._mode_cache), fs._mode_cache.hits) == (1, 1)
+    prod = fs.product(cur["e"], 0, (0,), cur["f"], window=win1)
+    for _ in range(2):
+        assert fs.mode(prod, -1, (0,), w) == fs.mode(cur["h"], -1, (0,), w)
+    assert (len(table), table.hits, table.misses) == (0, 0, 0)
+    outer = fs.product(prod, -1, (0,), cur["e"], window=win1)  # locality reads prod
+    assert len(table) == table.misses > 0
+    first = fs.mode(outer, -2, (0,), w)
+    assert first and len(table) == table.misses
+    stored, hits = len(table), table.hits
+    assert fs.mode(outer, -2, (0,), w) == first
+    assert len(table) == table.misses == stored and table.hits > hits
+    assert {key[0] for key in table._data} == {prod.key}  # outer's own reads are not stored
 
 
 def test_a_scan_on_its_own_keeps_the_verdicts_and_settling_empties_the_pair():
@@ -391,7 +400,8 @@ def test_one_multidegree_rule_at_every_field_entry(s, win):
 
 def test_memo_counters_are_pinned_after_locality_and_derivative():
     # the hot paths read the action, product-mode and other tables in place;
-    # every lookup is still counted once, as a hit or a miss
+    # every lookup is still counted once, as a hit or a miss; a canonical
+    # word and a check's read of a product make no lookup at all
     cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
     session = cfg.build_session()
     win, = cfg.build_windows(session)
@@ -399,9 +409,9 @@ def test_memo_counters_are_pinned_after_locality_and_derivative():
               "mode": session.fields._mode_cache, "comm": session.fields._comm_cache,
               "vm": session._vm_cache, "vm_state": session._vm_state_cache}
     want = {
-        "locality": {"act": (12574, 2429), "word": (290, 561), "mode": (0, 0),
+        "locality": {"act": (12574, 2429), "word": (113, 253), "mode": (0, 0),
                      "comm": (1930, 4263), "vm": (0, 0), "vm_state": (0, 0)},
-        "derivative": {"act": (100363, 5427), "word": (836, 1663), "mode": (3888, 14904),
+        "derivative": {"act": (100363, 5427), "word": (234, 506), "mode": (0, 0),
                        "comm": (7355, 13881), "vm": (0, 0), "vm_state": (0, 0)},
     }
     for group, counts in want.items():

@@ -1,5 +1,6 @@
 """Vacuum module: base action, mode action, grading, normal ordering."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -163,6 +164,32 @@ def test_cache_transparency():
                 == cached.module.act("e", n0, (0,), w_cached))
     assert len(plain.module._act_cache) == 0 and plain.module._act_cache.misses > 0
     assert len(cached.module._act_cache) > 0
+
+
+def test_word_table_holds_rewrites_only():
+    # a canonical word is its own form and makes no lookup; a rewrite is
+    # stored once and hit when read again; the forms of 300 random words
+    # hash as they did when every word was stored
+    sess = Session(sl2_spec(), 1, 1)
+    mod, table = sess.module, sess.module._word_cache
+    e, f = sess.spec.index_of("e"), sess.spec.index_of("f")
+    canonical = ((2, f, (0,)), (1, e, (1,)), (1, f, (-1,)))
+    assert mod._normalize_word(canonical) == {canonical: 1}
+    assert (len(table), table.hits, table.misses) == (0, 0, 0)
+    rewrite = ((1, f, (0,)), (1, e, (0,)))
+    form = mod._normalize_word(rewrite)
+    assert rewrite not in form and (len(table), table.hits, table.misses) == (1, 0, 1)
+    assert mod._normalize_word(rewrite) is form
+    assert (len(table), table.hits, table.misses) == (1, 1, 1)
+    rng = random.Random(23)
+    blob = []
+    for _ in range(300):
+        word = tuple((rng.randrange(1, 4), rng.randrange(3), (rng.randrange(-1, 2),))
+                     for _ in range(rng.randrange(1, 5)))
+        out = mod._normalize_word(word)
+        blob.append(repr(word) + ":" + repr(sorted((w, str(c)) for w, c in out.items())))
+    assert hashlib.sha256("\n".join(blob).encode()).hexdigest()[:16] == "b12f388e862b3876"
+    assert len(table) == 163
 
 
 def test_memo_counters():

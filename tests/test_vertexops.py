@@ -1,5 +1,6 @@
 """Vertex operators on states, the vacuum ideal, one-variable collapse."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from torva import Session, echelonize, loop_affine_graded_dims
 from torva.states import PBWMonomial, ShiftedModule, StateVector
 
-from conftest import sl2_spec, small_window
+from conftest import CONFIG_DIR, sl2_spec, small_window
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +347,61 @@ def test_echelonize_matches_dense_reference():
         assert got == want
         for r in got:
             assert all(type(v) in (int, Fraction) for v in r.terms.values())
+
+
+def test_echelonize_changes_no_input_and_returns_unreduced_rows_themselves():
+    # rows with eliminations and leads other than 1 against the dense
+    # reference; no input's terms change, and a row that no step changes
+    # (its reduced form equals it, and no earlier input holds its lead) is
+    # returned as the input state itself
+    rng = random.Random(20261020)
+    cols = sorted({PBWMonomial(((k, a, (m,)),), None)
+                   for k in (1, 2) for a in range(3) for m in (-1, 0)}
+                  | {PBWMonomial((), t) for t in (None, 0, 2)}, key=PBWMonomial.sort_key)
+    coeffs = [1, 1, 1, -3, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    kept = 0
+    for _ in range(400):
+        rows = []
+        for _ in range(rng.randrange(1, 8)):
+            kind = rng.random()
+            if rows and kind < 0.15:
+                rows.append(rng.choice(rows))                    # duplicate
+            elif len(rows) > 1 and kind < 0.35:
+                u, v = rng.sample(rows, 2)                       # dependent
+                rows.append(u.scaled(rng.choice(coeffs)) + v.scaled(rng.choice(coeffs)))
+            else:
+                support = rng.sample(cols, rng.randrange(1, 4))
+                rows.append(StateVector({mo: rng.choice(coeffs) for mo in support}))
+        before = [dict(r.terms) for r in rows]
+        got = echelonize(rows)
+        assert got == [StateVector(dict(zip(cols, r))) for r in _rref_reference(rows, cols)]
+        assert [r.terms for r in rows] == before
+        for out in got:
+            lead = min(out.terms, key=PBWMonomial.sort_key)
+            for i, st in enumerate(rows):
+                if st == out and all(lead not in r.terms for r in rows[:i]):
+                    assert out is st
+                    kept += 1
+                    break
+    assert kept > 300
+
+
+def test_vacuum_ideal_basis_shares_the_spanning_states():
+    # on the r1 config (`torva v0`) every spanning state is a distinct unit
+    # monomial, so each basis row is a spanning state itself; the check makes
+    # no product read and the word table holds the rewrites alone
+    from torva import SessionConfig
+    from torva.cli import _vacuum_ideal_findings
+    cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    session = cfg.build_session()
+    win, = cfg.build_windows(session)
+    holder = {}
+    assert all(f.ok for f in _vacuum_ideal_findings(session, win, random.Random(cfg.seed), holder))
+    ideal = holder["ideal"]
+    spanning = {id(st) for st, _ in ideal.spanning}
+    assert len(ideal.basis) == 190 and all(id(row) in spanning for row in ideal.basis)
+    assert len(session.fields._mode_cache) == 0
+    assert len(session.module._word_cache) == 339
 
 
 def test_reconstruction_from_vacuum_products(s, win):
