@@ -31,7 +31,6 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -43,7 +42,6 @@ from .states import ShiftedModule, StateVector, ZERO_STATE, _accumulate, state_t
 from .vertexops import Session, loop_affine_graded_dims
 
 
-@dataclass
 class Finding:
     """One verified (or refuted) identity instance.
 
@@ -51,12 +49,12 @@ class Finding:
     tuple, the state index, and both side values, so the instance can be
     replayed from the finding alone.
     """
-    law: str
-    window: dict
-    status: str                      # "pass" | "fail" | "cap_exceeded"
-    witness: Optional[dict] = None
-    wall_ms: int = 0
-    detail: dict = field(default_factory=dict)
+
+    def __init__(self, law: str, window: dict, status: str, witness: Optional[dict] = None,
+                 wall_ms: int = 0, detail: Optional[dict] = None):
+        self.law, self.window, self.witness, self.wall_ms = law, window, witness, wall_ms
+        self.status = status  # "pass" | "fail" | "cap_exceeded"
+        self.detail = {} if detail is None else detail
 
     @property
     def ok(self) -> bool:
@@ -422,10 +420,10 @@ def sample_toroidal(session: Session, rng: random.Random, bound: int = 3) -> Tor
 # ---------------------------------------------------------------------------
 # The suite.
 
-@dataclass
 class SuiteReport:
-    findings: list
-    config_digest: str = ""
+    def __init__(self, findings: list, config_digest: str = ""):
+        self.findings = findings
+        self.config_digest = config_digest
 
     @property
     def ok(self) -> bool:
@@ -703,15 +701,21 @@ def _vacuum_findings(session: Session, window: ModeWindow, rng) -> list:
 
 def _vacuum_ideal_findings(session: Session, window: ModeWindow, rng,
                            ideal_holder: Optional[dict] = None) -> list:
-    """Findings on the vacuum ideal, built to the window's depth.  The ideal
-    built by the first check is stored under ``"ideal"`` in
-    ``ideal_holder``, which a caller may pass in to reuse it."""
+    """Findings on the vacuum ideal, built to the window's depth by the first
+    check.  It keeps in ``ideal_holder`` (a caller may pass one in) only what
+    is read again: ``graded_dims``, ``basis_size``, the first 12 spanning
+    states as ``support_states``, and the chain ``labels`` when there are at
+    most 200 (else None); the other chain states are freed when it ends."""
     out = []
     ideal_holder = {} if ideal_holder is None else ideal_holder
 
     def run_dims():
         ideal = session.build_vacuum_ideal(window.depth, window)
-        ideal_holder["ideal"] = ideal
+        spanning = ideal.spanning
+        ideal_holder.update(
+            graded_dims=ideal.graded_dims, basis_size=len(ideal.basis),
+            support_states=spanning[:12],
+            labels=[session.chain_label(st) for st in spanning] if len(spanning) <= 200 else None)
         if not ideal.tail_free():
             return {"part": "tails leaked into the ideal"}
         kmax = -window.m0_lo
@@ -788,8 +792,7 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, rng,
     out.append(_finding("vacuum-ideal reconstruction", window, {}, run_reconstruction))
 
     def run_support():
-        ideal = ideal_holder["ideal"]
-        for st, label in ideal.spanning[: 12]:
+        for st in ideal_holder["support_states"]:
             if not st:
                 continue
             supp = session.support(st)
@@ -797,7 +800,7 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, rng,
                 continue
             bad = session.homogeneous_support_failures(st, window)
             if bad:
-                return {"state": label, "offending": bad[:3]}
+                return {"state": session.chain_label(st), "offending": bad[:3]}
         return None
     out.append(_finding("vacuum-ideal single-degree support", window, {}, run_support))
 

@@ -227,12 +227,11 @@ def cmd_v0(cfg: SessionConfig, args) -> int:
     holder = {}
     findings = _vacuum_ideal_findings(session, win, random.Random(cfg.seed), holder)
     report = SuiteReport(findings, config_digest=_digest(cfg.digest_payload()))
-    ideal = holder["ideal"]
     payload = report.to_json()
-    payload["graded_dims"] = {str(k): v for k, v in sorted(ideal.graded_dims.items())}
-    payload["basis_size"] = len(ideal.basis)
-    if len(ideal.spanning) <= 200:
-        payload["spanning"] = [label for _, label in ideal.spanning]
+    payload["graded_dims"] = {str(k): v for k, v in sorted(holder["graded_dims"].items())}
+    payload["basis_size"] = holder["basis_size"]
+    if holder["labels"] is not None:
+        payload["spanning"] = holder["labels"]
     if out:
         with open(out, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .axioms import CHECK_GROUPS
@@ -35,20 +34,16 @@ _FIELDS = ("algebra", "r", "level", "windows", "seed", "samples", "budget", "che
            "output", "depth", "locality_bound")
 
 
-@dataclass
 class SessionConfig:
-    algebra_path: str
-    r: int
-    level: str
-    windows: list
-    seed: int = 0
-    samples: int = 20
-    budget: int = 4_000_000
-    checks: Optional[list] = None
-    output: Optional[str] = None
-    base_dir: str = "."
-    depth: int = 2              # window defaults when a window omits them
-    locality_bound: int = 8
+    def __init__(self, algebra_path: str, r: int, level: str, windows: list, seed: int = 0,
+                 samples: int = 20, budget: int = 4_000_000, checks: Optional[list] = None,
+                 output: Optional[str] = None, base_dir: str = ".", depth: int = 2,
+                 locality_bound: int = 8):
+        self.algebra_path, self.r, self.level, self.windows = algebra_path, r, level, windows
+        self.seed, self.samples, self.budget, self.checks = seed, samples, budget, checks
+        self.output, self.base_dir = output, base_dir
+        # window defaults when a window omits them
+        self.depth, self.locality_bound = depth, locality_bound
 
     @classmethod
     def from_file(cls, path: str) -> "SessionConfig":

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -233,13 +232,14 @@ class LieAlgebraSpec:
 _ZERO = 0
 
 
-@dataclass(frozen=True)
 class LieValidation:
     """Outcome of validating a LieAlgebraSpec: pass, or the first violation."""
-    ok: bool
-    kind: Optional[str] = None          # "antisymmetry" | "jacobi" | "form-symmetry" | "invariance"
-    witness: Optional[tuple] = None     # offending basis labels
-    detail: str = ""
+
+    def __init__(self, ok: bool, kind: Optional[str] = None, witness: Optional[tuple] = None,
+                 detail: str = ""):
+        self.ok, self.detail = ok, detail
+        self.kind = kind        # "antisymmetry" | "jacobi" | "form-symmetry" | "invariance"
+        self.witness = witness  # offending basis labels
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "kind": self.kind,

@@ -22,6 +22,7 @@ are one object and memo lookups on them hit on identity.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Optional
 
 from .liecore import (LieAlgebraSpec, Scalar, SpecFormatError, ToroidalAlgebra,
@@ -46,21 +47,22 @@ class PBWMonomial:
     Instances are interned (hash-consed): constructing the same (word, tail)
     twice returns the same object, so equality is identity and the hash is
     ``object``'s, which dict and tuple hashing compute without a Python call.
-    It differs from process to process, so no output may depend on it.
+    It differs from process to process, so no output may depend on it.  The
+    intern table holds one word table per tail, so no key tuple is stored.
     """
 
     __slots__ = ("word", "tail", "degree")
-    _interned = {}
+    _interned = defaultdict(dict)  # tail -> word -> monomial
 
     def __new__(cls, word: tuple, tail: Optional[int]):
-        key = (word, tail)
-        mono = cls._interned.get(key)
+        table = cls._interned[tail]
+        mono = table.get(word)
         if mono is None:
             mono = object.__new__(cls)
             mono.word = word
             mono.tail = tail
             mono.degree = sum(k for (k, _, _) in word) + (0 if tail is None else 1)
-            cls._interned[key] = mono
+            table[word] = mono
         return mono
 
     def tmultidegree(self) -> tuple:
@@ -366,6 +368,16 @@ class VacuumModule(Module):
             _accumulate(out, self._act_mono(a, n0, n, mono), c)
         return StateVector(out)
 
+    def create(self, mode: tuple, mono: PBWMonomial) -> StateVector:
+        """The creation mode ``mode`` = (k, a, m), k >= 1, applied to a
+        monomial: its word prepended and re-canonicalised.  Not stored, so a
+        caller that applies each mode once (the vacuum ideal's chains) leaves
+        no table entry; :meth:`_act_mono` stores what it rereads."""
+        out = {}
+        for w, c in self._normalize_word((mode,) + mono.word).items():
+            out[PBWMonomial(w, mono.tail)] = c  # canonical words are distinct
+        return StateVector.adopt(out)
+
     def _act_mono(self, a: int, n0: int, n, mono: PBWMonomial) -> StateVector:
         if n0 > mono.degree:  # grading: target degree would be negative
             return ZERO_STATE
@@ -374,10 +386,7 @@ class VacuumModule(Module):
         if cached is not None:
             return cached
         if n0 <= -1:
-            out = {}
-            for w, c in self._normalize_word(((-n0, a, n),) + mono.word).items():
-                out[PBWMonomial(w, mono.tail)] = c  # canonical words are distinct
-            result = StateVector.adopt(out)
+            result = self.create((-n0, a, n), mono)
         elif not mono.word:
             result = self.base_action(a, n0, n, mono.tail)
         else:

@@ -10,7 +10,8 @@ never inferred from equality of mode tables; :meth:`Session.field_of` wraps
 a state's vertex operator as a field handle keyed by the state itself.
 
 Also here: the left ideal generated by the cyclic vector (every tail-free
-state), its reduced-echelon basis and graded dimensions, and the ordinary
+state), its spanning chain states, reduced-echelon basis and graded
+dimensions, a chain's label rendered from its state's word, and the ordinary
 one-variable vertex operators obtained by collapsing the toroidal variables
 at 1 — well defined on that ideal because each tail-free monomial contributes
 a single toroidal degree.
@@ -19,15 +20,14 @@ a single toroidal degree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .fields import FieldHandle, FieldSpace, ModeWindow, component_sum
 from .liecore import (LieAlgebraSpec, Scalar, SpecFormatError, ToroidalAlgebra,
                       _multidegree, frac, mi_sub, mi_zero)
-from .states import (Memo, PBWMonomial, StateVector, VACUUM_MONO,
-                     VacuumModule, ZERO_STATE, _accumulate, state_from_json)
+from .states import (Memo, PBWMonomial, StateVector, VACUUM_MONO, VacuumModule,
+                     ZERO_STATE, _accumulate, _mode_key, state_from_json)
 
 _ZERO = 0
 _ONE = 1
@@ -108,13 +108,16 @@ class Session:
             raise SpecFormatError(f"mode {tok!r} has rank {len(n)}, session rank is {self.r}")
         return label, n0, n
 
+    def _mode_text(self, mode) -> str:
+        k, a, m = mode
+        return f"{self.spec.basis[a]}(-{k};{','.join(map(str, m))})"
+
     def render(self, state: StateVector) -> str:
         if state.is_zero():
             return "0"
         bits = []
         for mono, c in state.items_sorted():
-            modes = " ".join(
-                f"{self.spec.basis[a]}(-{k};{','.join(map(str, m))})" for (k, a, m) in mono.word)
+            modes = " ".join(map(self._mode_text, mono.word))
             t = "|1>" if mono.tail is None else f"|{self.spec.basis[mono.tail]}>"
             body = (modes + " " if modes else "") + t
             bits.append(f"{c}*{body}" if c != 1 else body)
@@ -266,33 +269,33 @@ class Session:
     def build_vacuum_ideal(self, depth: int, window: ModeWindow) -> "VacuumIdeal":
         """Spanning states of the left ideal generated by the cyclic vector,
         from chains of at most ``depth`` window creation modes applied in
-        canonical order (so each chain is a pure basis monomial), echelonised
-        over Q.  A chain's suffix ``chain[1:]`` is a canonical chain one mode
-        shorter, so each chain is built by one action on its suffix's state."""
+        canonical order, echelonised over Q.  A canonical chain is a pure
+        basis monomial, its own word, and its suffix ``word[1:]`` is the
+        interned monomial of a chain one mode shorter; so each chain is one
+        creation on that monomial, not stored, as no chain is applied twice."""
         if depth < 1:
             raise SpecFormatError("depth must be >= 1")
-        modes = []
-        for m0 in window.m0_values():
-            if m0 <= -1:
-                for a in range(self.spec.dim):
-                    for m in window.m_values():
-                        modes.append((-m0, a, m))
-        modes.sort(key=lambda t: (-t[0], t[1], t[2]))
-        names = {(k, a, m): f"{self.spec.basis[a]}(-{k};{','.join(map(str, m))})"
-                 for (k, a, m) in modes}
-        built = {(): (self.vacuum(), "1")}  # chain -> (state, label), one depth
-        states = list(built.values())
+        modes = sorted(((-m0, a, m) for m0 in window.m0_values() if m0 <= -1
+                        for a in range(self.spec.dim) for m in window.m_values()), key=_mode_key)
+        pos = {mode: i for i, mode in enumerate(modes)}
+        create = self.module.create
+        states = [self.vacuum()]
+        start = 0
         for _ in range(depth):
-            nxt = {}
-            for chain in built:
-                start = 0 if not chain else modes.index(chain[-1])
-                for mode in modes[start:]:
+            end = len(states)
+            for i in range(start, end):
+                (mono,) = states[i].terms  # the chain's word
+                chain = mono.word
+                for mode in modes[pos[chain[-1]] if chain else 0:]:
                     new = chain + (mode,)
-                    (k, a, m), (st, label) = new[0], built[new[1:]]
-                    nxt[new] = (self.module.act_index(a, -k, m, st), names[new[0]] + " " + label)
-            states.extend(nxt.values())
-            built = nxt
-        return VacuumIdeal.from_spanning(states)
+                    states.append(create(new[0], PBWMonomial(new[1:], None)))
+            start = end
+        return VacuumIdeal(states)
+
+    def chain_label(self, state: StateVector) -> str:
+        """The label of a chain's state: its modes, left to right, then 1."""
+        (mono,) = state.terms
+        return " ".join([*map(self._mode_text, mono.word), "1"])
 
 
 def echelonize(states: Sequence[StateVector]):
@@ -307,7 +310,7 @@ def echelonize(states: Sequence[StateVector]):
     monomial, so a stored row may still hold the leads of other rows; one
     back-substitution pass, largest lead first, then removes them.  The work
     follows the fill of the rows, not the square of their number."""
-    pivots = {}  # leading monomial -> row dict, reduced at its lead only
+    pivots = {}  # leading monomial -> row dict: reduced at its lead, then fully
     given = {}   # leading monomial -> the input state whose own terms are its row
     for st in states:
         row = st.terms
@@ -326,19 +329,18 @@ def echelonize(states: Sequence[StateVector]):
                 row = dict(row)
             _subtract(row, row.pop(lead), pivot, lead)
     leads = sorted(pivots, key=PBWMonomial.sort_key)
-    reduced = {}  # leading monomial -> fully reduced row
     for lead in reversed(leads):
         row = pivots[lead]
-        # rows in ``reduced`` hold no pivot lead but their own, so subtracting
-        # one never changes the coefficient of another lead in ``row``
-        found = [mo for mo in row if mo in reduced]
+        # every other term of a row sorts after its lead, so each pivot lead in
+        # ``row`` belongs to a row already reduced here: one holding no pivot
+        # lead but its own, so subtracting it changes no other lead in ``row``
+        found = [mo for mo in row if mo is not lead and mo in pivots]
         if found and given.pop(lead, None) is not None:
-            row = dict(row)
+            row = pivots[lead] = dict(row)
         for mo in found:
-            _subtract(row, row.pop(mo), reduced[mo], mo)
-        reduced[lead] = row
+            _subtract(row, row.pop(mo), pivots[mo], mo)
     # every changed row was built here and holds no zero term
-    return [given[lead] if lead in given else StateVector.adopt(reduced[lead])
+    return [given[lead] if lead in given else StateVector.adopt(pivots[lead])
             for lead in leads]
 
 
@@ -355,26 +357,21 @@ def _subtract(row: dict, c, other: dict, skip) -> None:
             del row[mo]
 
 
-@dataclass
 class VacuumIdeal:
     """Window-restricted picture of the ideal generated by the cyclic vector:
-    spanning states with provenance, an echelon basis, graded dimensions."""
+    the spanning chain states in chain order (labels by
+    :meth:`Session.chain_label`), an echelon basis, graded dimensions."""
 
-    spanning: list                      # (StateVector, provenance label)
-    basis: list                         # echelonised StateVectors
-    graded_dims: dict                   # degree -> dimension
-
-    @classmethod
-    def from_spanning(cls, states) -> "VacuumIdeal":
-        basis = echelonize([s for s, _ in states if s])
-        dims = {}
-        for row in basis:
-            lead = min(row.terms, key=PBWMonomial.sort_key)
-            dims[lead.degree] = dims.get(lead.degree, 0) + 1
-        return cls(list(states), basis, dims)
+    def __init__(self, spanning: list):
+        self.spanning = spanning
+        self.basis = echelonize([s for s in spanning if s])
+        self.graded_dims = {}  # degree -> dimension
+        for row in self.basis:
+            d = min(row.terms, key=PBWMonomial.sort_key).degree
+            self.graded_dims[d] = self.graded_dims.get(d, 0) + 1
 
     def tail_free(self) -> bool:
-        return all(s.is_tail_free() for s, _ in self.spanning)
+        return all(s.is_tail_free() for s in self.spanning)
 
 
 def loop_affine_graded_dims(mode_count_per_k, max_degree: int) -> dict:

@@ -309,6 +309,19 @@ def test_v0_command(cfg, tmp_path):
     assert data["graded_dims"]["1"] == 3  # dim g * |box| = 3 * 1
 
 
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # every process pays for an import; dataclasses would also load inspect,
+    # ast, dis and tokenize
+    code = ("import sys, torva.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=ROOT, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 # The v0 report on the r1 config; a change that alters it on purpose records
 # the new digest here.
 V0_R1_DIGEST = "b784c9ddfd1e74d28bf4a09a27a22307b2424f736ecddcc484c4d323c5895b63"

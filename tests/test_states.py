@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from torva import Session, state_from_json, state_to_json
 from torva.axioms import sample_toroidal
-from torva.states import Memo, PBWMonomial, ShiftedModule, StateVector, ZERO_STATE, _accumulate
+from torva.states import (Memo, PBWMonomial, ShiftedModule, StateVector, VACUUM_MONO, ZERO_STATE,
+                          _accumulate)
 
 from conftest import forget_memos, sl2_spec
 
@@ -275,8 +276,35 @@ def test_monomials_are_interned(s):
     assert PBWMonomial(word, 2) is not PBWMonomial(word, None)
     mono, = s.parse_state("e(-2;1) f(-1;0) vac").terms
     assert mono is PBWMonomial(mono.word, mono.tail)
+    # the table is keyed per tail by word: an equal word built apart gives one
+    # object for each tail, and the empty word on no tail is the vacuum
+    for w in [(), word]:
+        monos = [PBWMonomial(w, t) for t in (None, 0, 2)]
+        assert all(PBWMonomial(tuple(list(w)), t) is mono and mono.word == w and mono.tail == t
+                   for t, mono in zip((None, 0, 2), monos))
+        assert len(set(monos)) == 3
+    assert PBWMonomial((), None) is VACUUM_MONO
     # equality is identity, so the hash is object's, computed without a Python call
     assert PBWMonomial.__hash__ is object.__hash__ and PBWMonomial.__eq__ is object.__eq__
+
+
+def test_create_matches_act_index_on_creation_modes():
+    # the creation helper is the creation branch of the action, unstored
+    rng = random.Random(24)
+    s = Session(sl2_spec(), 2, 1)
+    mod = s.module
+
+    def mode():
+        return rng.randrange(1, 4), rng.randrange(3), (rng.randrange(-1, 2), rng.randrange(-1, 2))
+
+    for _ in range(60):
+        word = [mode() for _ in range(rng.randrange(4))]
+        for mono in s.monomial(word, rng.choice([None, "e", "f", "h"])).terms:
+            k, a, m = new = mode()
+            entries = len(mod._act_cache)
+            got = mod.create(new, mono)
+            assert len(mod._act_cache) == entries
+            assert got == mod.act_index(a, -k, m, StateVector.of(mono))
 
 
 def test_state_json_same_for_int_and_fraction_coefficients(s):

@@ -219,7 +219,8 @@ def test_ideal_spanning_matches_chains_applied_from_vacuum(s):
                              for (k, a, m) in chain) + " 1"
             ref.append((st, label))
     assert len(ideal.spanning) == len(ref) == 1 + 18 + 171 + 1140
-    for i, ((st, label), (want_st, want_label)) in enumerate(zip(ideal.spanning, ref)):
+    for i, (st, (want_st, want_label)) in enumerate(zip(ideal.spanning, ref)):
+        label = s.chain_label(st)
         assert label == want_label, i
         assert st == want_st, label
 
@@ -246,7 +247,7 @@ def test_ideal_closed_under_window_modes(s):
     win = small_window(s)
     ideal = s.build_vacuum_ideal(3, win)
     rng = random.Random(7)
-    members = [st for st, _ in ideal.spanning if st and st.max_degree() <= 2]
+    members = [st for st in ideal.spanning if st and st.max_degree() <= 2]
     images = []
     for _ in range(20):
         u = rng.choice(members)
@@ -388,8 +389,33 @@ def test_echelonize_changes_no_input_and_returns_unreduced_rows_themselves():
 
 def test_vacuum_ideal_basis_shares_the_spanning_states():
     # on the r1 config (`torva v0`) every spanning state is a distinct unit
-    # monomial, so each basis row is a spanning state itself; the check makes
+    # monomial, so each basis row is a spanning state itself; the checks make
     # no product read and the word table holds the rewrites alone
+    from torva import SessionConfig
+    from torva.cli import _vacuum_ideal_findings
+    cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    session = cfg.build_session()
+    win, = cfg.build_windows(session)
+    ideal = session.build_vacuum_ideal(win.depth, win)
+    spanning = {id(st) for st in ideal.spanning}
+    assert len(ideal.basis) == 190 and all(id(row) in spanning for row in ideal.basis)
+    assert all(f.ok for f in _vacuum_ideal_findings(session, win, random.Random(cfg.seed), {}))
+    assert len(session.fields._mode_cache) == 0
+    assert len(session.module._word_cache) == 339
+
+
+def test_building_the_ideal_stores_no_chain_action():
+    # each chain is applied once, so the build leaves the action table as it was
+    session = Session(sl2_spec(), 1, 1)
+    win = small_window(session)
+    ideal = session.build_vacuum_ideal(3, win)
+    assert len(ideal.spanning) == 1330
+    assert len(session.module._act_cache) == 0 and session.module._act_cache.misses == 0
+
+
+def test_the_ideal_holder_keeps_at_most_twelve_states():
+    # after the checks only the dims, the basis size, the support check's
+    # states and the labels (when at most 200) stay referenced
     from torva import SessionConfig
     from torva.cli import _vacuum_ideal_findings
     cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
@@ -397,11 +423,16 @@ def test_vacuum_ideal_basis_shares_the_spanning_states():
     win, = cfg.build_windows(session)
     holder = {}
     assert all(f.ok for f in _vacuum_ideal_findings(session, win, random.Random(cfg.seed), holder))
-    ideal = holder["ideal"]
-    spanning = {id(st) for st, _ in ideal.spanning}
-    assert len(ideal.basis) == 190 and all(id(row) in spanning for row in ideal.basis)
-    assert len(session.fields._mode_cache) == 0
-    assert len(session.module._word_cache) == 339
+    assert sorted(holder) == ["basis_size", "graded_dims", "labels", "support_states"]
+    held = [x for v in holder.values() for x in (v if isinstance(v, list) else [v])
+            if isinstance(x, StateVector)]
+    assert len(held) == len(holder["support_states"]) == 12
+    assert holder["basis_size"] == 190 and len(holder["labels"]) == 190
+    assert all(isinstance(label, str) for label in holder["labels"])
+    # the labels are those of the chain states, in chain order
+    ideal = session.build_vacuum_ideal(win.depth, win)
+    assert holder["labels"] == [session.chain_label(st) for st in ideal.spanning]
+    assert holder["support_states"] == ideal.spanning[:12]
 
 
 def test_reconstruction_from_vacuum_products(s, win):
