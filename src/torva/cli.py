@@ -20,10 +20,17 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import hashlib
 import json
 import os
 import sys
+
+try:  # CPython's own SHA-256: hashlib would load OpenSSL's libcrypto for two digests
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .axioms import (CHECK_GROUPS, Finding, SuiteReport, run_mutation_suite, run_suite,
                      _vacuum_ideal_findings)
@@ -40,17 +47,17 @@ EXIT_REFUSED = 3
 
 def _digest(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 @functools.cache
 def _engine_digest() -> str:
     """SHA-256 of the bytes of this package's ``*.py`` files, in name order."""
     root = os.path.dirname(os.path.abspath(__file__))
-    h = hashlib.sha256()
+    h = sha256()
     for name in sorted(n for n in os.listdir(root) if n.endswith(".py")):
         with open(os.path.join(root, name), "rb") as fh:
-            h.update(name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
+            h.update(name.encode() + b"\0" + sha256(fh.read()).digest())
     return h.hexdigest()
 
 

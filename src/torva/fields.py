@@ -236,8 +236,7 @@ class FieldSpace:
             out = table._data.get(key)
             if out is None:
                 table.misses += 1
-                out = self._product_mode(a, m0, m, b, k0, k, w)
-                table.put(key, out)
+                out = table.store(key, self._product_mode(a, m0, m, b, k0, k, w))
             else:
                 table.hits += 1
             return out
@@ -284,8 +283,8 @@ class FieldSpace:
         key = (a.key, b.key, p0, p, q0, q, w)
         out = self._comm_cache.get(key)
         if out is None:
-            out = a._eval(p0, p, b._eval(q0, q, w)) - b._eval(q0, q, a._eval(p0, p, w))
-            self._comm_cache.put(key, out)
+            out = self._comm_cache.store(
+                key, a._eval(p0, p, b._eval(q0, q, w)) - b._eval(q0, q, a._eval(p0, p, w)))
         return out
 
     def locality_passes_at(self, a, b, k: int, window: ModeWindow):

@@ -15,10 +15,10 @@ bookkeeping with the production mode formulas.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 
-@lru_cache(maxsize=65536)
+@cache
 def binom(n: int, k: int) -> int:
     """Generalized binomial coefficient C(n, k) for any integer n, k >= 0."""
     if k < 0:

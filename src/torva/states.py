@@ -14,10 +14,15 @@ creation modes), so normalisation terminates.
 :class:`Module` is the one module protocol.  Mode action and normal ordering
 live on :class:`VacuumModule`, which :class:`ShiftedModule` twists; results
 are memoised in two :class:`Memo` tables that live with the module, as every
-check group rereads them.  Degrees are read off the states themselves
-(:meth:`StateVector.max_degree`): the grading gives a(n0, n) . w = 0 for every
-n0 beyond the top degree of w.  Monomials are interned, so equal monomials
-are one object and memo lookups on them hit on identity.
+check group rereads them.  A memo table holds each stored state once
+(:meth:`Memo.store`): a zero result is ``ZERO_STATE`` itself and 1·mono is the
+monomial's one unit state (``PBWMonomial.unit``), which lives as long as the
+interned monomial; so states are shared and never changed in place.
+:meth:`VacuumModule.create` stores nothing and returns a fresh state.  Degrees
+are read off the states themselves (:meth:`StateVector.max_degree`): the
+grading gives a(n0, n) . w = 0 for every n0 beyond the top degree of w.
+Monomials are interned, so equal monomials are one object and memo lookups
+on them hit on identity.
 """
 
 from __future__ import annotations
@@ -49,9 +54,11 @@ class PBWMonomial:
     ``object``'s, which dict and tuple hashing compute without a Python call.
     It differs from process to process, so no output may depend on it.  The
     intern table holds one word table per tail, so no key tuple is stored.
+    ``unit`` is the monomial's one state 1·mono that memo tables store
+    (:meth:`Memo.store`), None until a table first stores it.
     """
 
-    __slots__ = ("word", "tail", "degree")
+    __slots__ = ("word", "tail", "degree", "unit")
     _interned = defaultdict(dict)  # tail -> word -> monomial
 
     def __new__(cls, word: tuple, tail: Optional[int]):
@@ -62,6 +69,7 @@ class PBWMonomial:
             mono.word = word
             mono.tail = tail
             mono.degree = sum(k for (k, _, _) in word) + (0 if tail is None else 1)
+            mono.unit = None
             table[word] = mono
         return mono
 
@@ -96,7 +104,10 @@ class StateVector:
     @classmethod
     def adopt(cls, terms: dict):
         """A state over ``terms`` itself, not copied or filtered: for a local
-        accumulator that :func:`_accumulate` has cleaned and nothing reuses."""
+        accumulator that :func:`_accumulate` has cleaned and nothing reuses.
+        States are shared (memo tables store ``ZERO_STATE`` and unit states
+        once, see :meth:`Memo.store`), so no caller changes a state's
+        ``terms``; one that needs a working row copies it first."""
         out = cls.__new__(cls)
         out.terms, out._hash, out._maxdeg = terms, None, None
         return out
@@ -196,7 +207,8 @@ class Memo:
     value is then recomputed, so no result depends on it.  Stored values are
     never None.  No lock: one session, one thread at a time.  ``hits`` and
     ``misses`` count lookups, ``emptied`` the entries dropped.  A hot caller
-    may read ``_data`` itself, counting as :meth:`get` does; it stores by :meth:`put`."""
+    may read ``_data`` itself, counting as :meth:`get` does.  A state is stored
+    by :meth:`store`, any other value by :meth:`put`."""
 
     __slots__ = ("_data", "hits", "misses", "emptied")
 
@@ -216,6 +228,23 @@ class Memo:
 
     def put(self, key, value):
         self._data[key] = value
+
+    def store(self, key, state: StateVector) -> StateVector:
+        """Store a state once and return what is stored: a zero state as
+        ``ZERO_STATE`` and 1·mono as the monomial's one unit state (set on
+        first store), so equal small results share one object."""
+        terms = state.terms
+        if len(terms) == 1:
+            (mono, c), = terms.items()
+            if c == 1:
+                unit = mono.unit
+                if unit is None:
+                    mono.unit = unit = state
+                state = unit
+        elif not terms:
+            state = ZERO_STATE
+        self._data[key] = state
+        return state
 
     def empty(self):
         """Drop every entry, counted in ``emptied``; hits and misses stay."""
@@ -405,8 +434,7 @@ class VacuumModule(Module):
                            * self.level * self.algebra.cocycle_scale)
                 _accumulate(out, StateVector.of(rest), central)
             result = StateVector.adopt(out)
-        self._act_cache.put(key, result)
-        return result
+        return self._act_cache.store(key, result)
 
 
 class ShiftedModule(Module):

@@ -143,8 +143,7 @@ class Session:
             acc = {}
             for mono, c in terms.items():
                 _accumulate(acc, self._vm_mono(mod, mono, n0, n, w), c)
-            cached = StateVector(acc)
-            self._vm_state_cache.put(key, cached)
+            cached = self._vm_state_cache.store(key, StateVector(acc))
         return cached
 
     def _vm_mono(self, mod, mono: PBWMonomial, n0: int, n, w: StateVector) -> StateVector:
@@ -169,8 +168,7 @@ class Session:
             functools.partial(mod.act_index, a), m1,
             functools.partial(self._vm_mono, mod, rest), mi_sub(n, m1),
             -k1, n0, w, wdeg + rest.degree - 1 - n0, wdeg))
-        self._vm_cache.put(key, result)
-        return result
+        return self._vm_cache.store(key, result)
 
     def product(self, u, m0: int, m, v: StateVector) -> StateVector:
         """The algebra product u_(m0, m) v inside the vacuum module."""

@@ -7,8 +7,12 @@ or renamed target into a test failure that names it.
 """
 
 import importlib.util
+import json
 import os
+import subprocess
 import sys
+
+import pytest
 
 import torva.cli  # noqa: F401  (imports every layer, as the tracer does)
 from torva import SessionConfig
@@ -16,7 +20,8 @@ from torva.states import Memo
 
 from conftest import CONFIG_DIR
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), "..", "bench", "tracer.py")
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+TRACER_PATH = os.path.join(ROOT, "bench", "tracer.py")
 
 # span targets the tracer installs besides HOOKS: (module, attribute path)
 SPANS = [("torva.config", "SessionConfig.build_session"),
@@ -80,3 +85,25 @@ def test_binom_keeps_its_cache_info():
     from torva.series import binom
     info = binom.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("workload", ["suite-r2", "ideal-r1-d4"])
+def test_traced_bench_run_ends_on_a_strict_result_line(workload):
+    # the benchmark reads the last line of a traced run as its result: it
+    # must be strict JSON (no NaN or Infinity), correct, and hold every
+    # per-layer metric that BENCHMARK.json names
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "bench", "run.py"),
+                          "--workload", workload, "--seed", "7", "--seconds", "1",
+                          "--trace", "1"], capture_output=True, text=True, cwd=ROOT,
+                         timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True, out.stdout + out.stderr
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        wanted = [m["name"] for m in json.load(fh)["per_layer"]]
+    assert [name for name in wanted if name not in result["metrics"]] == []
+    assert "absent metric" not in out.stderr and "hooks not installed" not in out.stderr

@@ -311,15 +311,31 @@ def test_v0_command(cfg, tmp_path):
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     # every process pays for an import; dataclasses would also load inspect,
-    # ast, dis and tokenize
+    # ast, dis and tokenize, and hashlib would load OpenSSL's libcrypto
     code = ("import sys, torva.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+            "print(sorted(m for m in ('dataclasses', 'inspect', '_hashlib') "
+            "if m in sys.modules))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          cwd=ROOT, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_digests_are_hashlib_sha256():
+    import hashlib
+
+    from torva import cli
+    payload = {"algebra": "sl2.json", "level": "1", "seed": 3, "windows": [[-1, 1]]}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert cli._digest(payload) == hashlib.sha256(blob).hexdigest()
+    root = os.path.dirname(os.path.abspath(cli.__file__))
+    want = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(root) if n.endswith(".py")):
+        with open(os.path.join(root, name), "rb") as fh:
+            want.update(name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
+    assert cli._engine_digest() == want.hexdigest()
 
 
 # The v0 report on the r1 config; a change that alters it on purpose records

@@ -1,18 +1,19 @@
 """Vacuum module: base action, mode action, grading, normal ordering."""
 
 import hashlib
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torva import Session, state_from_json, state_to_json
-from torva.axioms import sample_toroidal
+from torva import Session, SessionConfig, echelonize, state_from_json, state_to_json
+from torva.axioms import run_suite, sample_toroidal
 from torva.states import (Memo, PBWMonomial, ShiftedModule, StateVector, VACUUM_MONO, ZERO_STATE,
                           _accumulate)
 
-from conftest import forget_memos, sl2_spec
+from conftest import CONFIG_DIR, forget_memos, sl2_spec
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +306,63 @@ def test_create_matches_act_index_on_creation_modes():
             got = mod.create(new, mono)
             assert len(mod._act_cache) == entries
             assert got == mod.act_index(a, -k, m, StateVector.of(mono))
+
+
+def test_create_returns_a_fresh_state_not_the_stored_unit():
+    # the action table stores 1·mono as the monomial's one unit state; create
+    # stores nothing, so a chain state it builds is freed with its holder
+    s = Session(sl2_spec(), 1, 1)
+    e = s.spec.index_of("e")
+    stored = s.module.act_index(e, -1, (0,), s.module.vacuum())
+    (mono, c), = stored.terms.items()
+    assert c == 1 and stored is mono.unit
+    assert s.module.act_index(e, -1, (0,), s.module.vacuum()) is stored
+    fresh = s.module.create((1, e, (0,)), VACUUM_MONO)
+    assert fresh == stored and fresh is not mono.unit and mono.unit is stored
+
+
+def test_memo_tables_store_one_zero_and_one_unit_state_per_monomial(monkeypatch):
+    # the six groups of the suite-r2 benchmark, on the r1 config: every value
+    # in the five state tables, read after each group and before each
+    # emptying, is ZERO_STATE itself when zero and its monomial's one unit
+    # state when 1·mono; and no caller changes a shared state's terms
+    cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    session = cfg.build_session()
+    win, = cfg.build_windows(session)
+    tables = [session.module._act_cache, session.fields._mode_cache,
+              session.fields._comm_cache, session._vm_cache, session._vm_state_cache]
+    units, zeros = {}, [0]
+
+    def check(table):
+        for v in table._data.values():
+            if not v.terms:
+                assert v is ZERO_STATE
+                zeros[0] += 1
+            elif len(v.terms) == 1:
+                (mono, c), = v.terms.items()
+                if c == 1:
+                    assert v is mono.unit and units.setdefault(mono, v) is v
+
+    empty = Memo.empty
+
+    def checked_empty(self):
+        if any(self is t for t in tables):
+            check(self)
+        empty(self)
+
+    monkeypatch.setattr(Memo, "empty", checked_empty)
+    for group in ["table", "locality", "derivative", "transfer", "skew", "module-variant"]:
+        assert run_suite(session, win, seed=cfg.seed, checks=[group], samples=cfg.samples).ok
+        for table in tables:
+            check(table)
+    assert zeros[0] and units
+    assert ZERO_STATE.terms == {}
+    assert all(u.terms == {mono: 1} for mono, u in units.items())
+    # echelonize copies a row before it changes it, so shared inputs survive
+    some = list(units.values())[:40]
+    rows = some + [u + v for u, v in zip(some, some[1:])]
+    assert len(echelonize(rows)) == len(some)
+    assert all(u.terms == {mono: 1} for mono, u in units.items())
 
 
 def test_state_json_same_for_int_and_fraction_coefficients(s):
