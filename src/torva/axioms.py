@@ -718,10 +718,7 @@ def _vacuum_ideal_findings(session: Session, window: ModeWindow, rng,
             labels=[session.chain_label(st) for st in spanning] if len(spanning) <= 200 else None)
         if not ideal.tail_free():
             return {"part": "tails leaked into the ideal"}
-        kmax = -window.m0_lo
-        box = 1
-        for lo, hi in window.m_box:
-            box *= hi - lo + 1
+        kmax, box = -window.m0_lo, window.box_size
         counts = loop_affine_graded_dims(
             lambda k: session.spec.dim * box if k <= kmax else 0, window.depth)
         got = {d: ideal.graded_dims.get(d, 0) for d in range(window.depth + 1)}

@@ -2,9 +2,9 @@
 
 Commands: validate | act | product | field | locality | axioms | v0 | report.
 Exit codes: 0 pass, 1 mathematical failure, 2 usage/config error, 3 resource
-refusal (window budget exceeded, an exponent search hit its cap so no verdict
-was reached and no finding failed, or the run exhausted the recursion limit
-or memory).
+refusal (the estimated cost, vacuum-ideal chains included, exceeds the
+budget, an exponent search hit its cap so no verdict was reached and no
+finding failed, or the run exhausted the recursion limit or memory).
 
 All input and output is JSON with rationals as "p/q" strings; reports are
 byte-deterministic for a fixed config apart from the timing fields.
@@ -21,8 +21,10 @@ import argparse
 import functools
 import gc
 import json
+import math
 import os
 import sys
+from typing import Optional
 
 try:  # CPython's own SHA-256: hashlib would load OpenSSL's libcrypto for two digests
     from _sha2 import sha256  # 3.12+
@@ -97,9 +99,48 @@ def _findings_from_json(items):
                     f.get("wall_ms", 0), f.get("detail", {})) for f in items]
 
 
-def _estimate_cost(cfg: SessionConfig, windows) -> int:
-    groups = len(cfg.checks or CHECK_GROUPS)
-    return sum(w.size * w.size * len(w.states) * groups for w in windows)
+_CHAIN_BYTES = 640   # v0 on the r1 window grew by about 0.64 KB per chain from depth 4 to 6
+_COUNTED = 1000      # past min(M, depth) = 1000 there are over 2**1000 chains, and comb's
+                     # time grows with the digits of its result
+
+
+def _chain_count(dim: int, window) -> Optional[int]:
+    """The chains the vacuum ideal builds on ``window`` (the vacuum included):
+    C(M + depth, depth), with M = #{m0 <= -1} x dim g x |m-box| creation
+    modes; None when min(M, depth) > _COUNTED, so more than 2**_COUNTED."""
+    creation = max(0, min(window.m0_hi, -1) - window.m0_lo + 1) * dim * window.box_size
+    depth = max(window.depth, 0)
+    if min(creation, depth) > _COUNTED:
+        return None
+    return math.comb(creation + depth, depth)
+
+
+def _estimate_cost(dim: int, windows, groups) -> tuple:
+    """(cost, chains): window size² x states x groups, plus _CHAIN_BYTES per
+    vacuum-ideal chain when the ``ideal`` group runs; ``chains`` is their
+    count, None (and the cost with it) when a window's is past counting."""
+    cost = sum(w.size * w.size * len(w.states) for w in windows) * len(groups)
+    if "ideal" not in groups:
+        return cost, 0
+    counts = [_chain_count(dim, w) for w in windows]
+    if None in counts:
+        return None, None
+    return cost + sum(counts) * _CHAIN_BYTES, sum(counts)
+
+
+def _refusal(cfg: SessionConfig, args, dim: int, windows, groups) -> Optional[str]:
+    """The ``refused:`` line when the estimated cost exceeds the budget, else None."""
+    budget = args.budget if args.budget is not None else cfg.budget
+    if budget < 0:
+        raise SpecFormatError(f"--budget must be >= 0, got {budget}")
+    cost, chains = _estimate_cost(dim, windows, groups)
+    if cost is None:
+        return f"refused: the vacuum ideal has more than 2**{_COUNTED} chains"
+    if cost <= budget:
+        return None
+    return (f"refused: estimated cost {cost} exceeds budget {budget}"
+            + (f" ({chains} vacuum-ideal chains)" if chains else "")
+            + "; shrink the window or raise --budget")
 
 
 def _out_path(cfg: SessionConfig, args):
@@ -195,13 +236,10 @@ def cmd_axioms(cfg: SessionConfig, args) -> int:
     out = _out_path(cfg, args)
     session = cfg.build_session()
     windows = cfg.build_windows(session)
-    cost = _estimate_cost(cfg, windows)
-    budget = args.budget if args.budget is not None else cfg.budget
-    if budget < 0:
-        raise SpecFormatError(f"--budget must be >= 0, got {budget}")
-    if cost > budget:
-        print(f"refused: estimated cost {cost} exceeds budget {budget}; "
-              f"shrink the window or raise --budget", file=sys.stderr)
+    groups = cfg.checks or CHECK_GROUPS
+    refusal = _refusal(cfg, args, session.spec.dim, windows, groups)
+    if refusal:
+        print(refusal, file=sys.stderr)
         return EXIT_REFUSED
     if args.mutate:
         report = run_mutation_suite(session, windows[0], seed=cfg.seed)
@@ -210,7 +248,6 @@ def cmd_axioms(cfg: SessionConfig, args) -> int:
         return _verdict(report)
     cache = _load_cache(args.cache)
     findings = []
-    groups = cfg.checks or CHECK_GROUPS
     for wi, win in enumerate(windows):
         for group in groups:
             key = _group_cache_key(cfg, session.spec, wi, group)
@@ -231,6 +268,10 @@ def cmd_v0(cfg: SessionConfig, args) -> int:
     out = _out_path(cfg, args)
     session = cfg.build_session()
     win = cfg.build_windows(session)[0]
+    refusal = _refusal(cfg, args, session.spec.dim, [win], ("ideal",))
+    if refusal:
+        print(refusal, file=sys.stderr)
+        return EXIT_REFUSED
     holder = {}
     findings = _vacuum_ideal_findings(session, win, random.Random(cfg.seed), holder)
     report = SuiteReport(findings, config_digest=_digest(cfg.digest_payload()))

@@ -92,11 +92,16 @@ class ModeWindow:
         return itertools.product(self.m0_values(), self.m_values())
 
     @property
-    def size(self) -> int:
-        n = self.m0_hi - self.m0_lo + 1
+    def box_size(self) -> int:
+        """The number of multidegrees m in the box."""
+        n = 1
         for lo, hi in self.m_box:
             n *= hi - lo + 1
         return n
+
+    @property
+    def size(self) -> int:
+        return (self.m0_hi - self.m0_lo + 1) * self.box_size
 
     def describe(self) -> dict:
         return {"m0": [self.m0_lo, self.m0_hi],
@@ -144,9 +149,10 @@ class FieldSpace:
     commutators of the one pair whose locality order is being settled
     (currents, or vertex operators of states in the Jacobi checks), also
     emptied as soon as that order is settled.  A commutator's inner
-    applications are read from the tables of the handles themselves: the
-    module's action table for a current, the session's vertex-mode tables
-    for a state, ``_mode_cache`` for a product.
+    applications are read from the tables of the handles themselves: for a
+    current, the module's action table (annihilation modes) or its intern
+    and word tables (creation modes); the session's vertex-mode tables for a
+    state; ``_mode_cache`` for a product.
     Locality orders go in an unbounded dict, one per handle pair and window.
     ``term_bound`` caps the terms of any product-mode sum.  Every entry that
     takes a multidegree converts and checks it once, by the config's integer

@@ -14,11 +14,15 @@ creation modes), so normalisation terminates.
 :class:`Module` is the one module protocol.  Mode action and normal ordering
 live on :class:`VacuumModule`, which :class:`ShiftedModule` twists; results
 are memoised in two :class:`Memo` tables that live with the module, as every
-check group rereads them.  A memo table holds each stored state once
+check group rereads them.  The action table stores annihilation results
+only.  A creation is read, not stored: a canonical prepend from the monomial
+intern table, a rewrite from the word table, which holds the rewrites of
+non-canonical words.  A memo table holds each stored state once
 (:meth:`Memo.store`): a zero result is ``ZERO_STATE`` itself and 1·mono is the
 monomial's one unit state (``PBWMonomial.unit``), which lives as long as the
-interned monomial; so states are shared and never changed in place.
-:meth:`VacuumModule.create` stores nothing and returns a fresh state.  Degrees
+interned monomial; so states are shared and never changed in place.  A
+creation returns that unit state when a table has stored it, and otherwise a
+fresh state; :meth:`VacuumModule.create` always returns a fresh one.  Degrees
 are read off the states themselves (:meth:`StateVector.max_degree`): the
 grading gives a(n0, n) . w = 0 for every n0 beyond the top degree of w.
 Monomials are interned, so equal monomials are one object and memo lookups
@@ -383,6 +387,8 @@ class VacuumModule(Module):
             (mono, c), = state.terms.items()
             if n0 > mono.degree:
                 return ZERO_STATE
+            if n0 < 0:
+                return self._prepend(a, -n0, n, mono, c)
             table = self._act_cache
             out = table._data.get((a, n0, n, mono))
             if out is None:
@@ -399,24 +405,46 @@ class VacuumModule(Module):
 
     def create(self, mode: tuple, mono: PBWMonomial) -> StateVector:
         """The creation mode ``mode`` = (k, a, m), k >= 1, applied to a
-        monomial: its word prepended and re-canonicalised.  Not stored, so a
-        caller that applies each mode once (the vacuum ideal's chains) leaves
-        no table entry; :meth:`_act_mono` stores what it rereads."""
+        monomial: its word prepended and re-canonicalised through the word
+        table, which holds the rewrites.  Returns a fresh state and stores
+        nothing, so the vacuum ideal's chains leave no table entry."""
         out = {}
         for w, c in self._normalize_word((mode,) + mono.word).items():
             out[PBWMonomial(w, mono.tail)] = c  # canonical words are distinct
         return StateVector.adopt(out)
 
+    def _prepend(self, a: int, k: int, n: tuple, mono: PBWMonomial, c=_ONE) -> StateVector:
+        """c times the creation mode a(-k, n) on a monomial, read and not
+        stored: a canonical prepend is the interned monomial, as its unit
+        state if c = 1 and a table has stored one, else a fresh state
+        (``unit`` is left unset); a rewrite is :meth:`create`."""
+        word = mono.word
+        if word:
+            k1, b, m1 = word[0]  # (k, a, n) goes first unless its sort key is larger
+            if k < k1 or (k == k1 and (a > b or (a == b and n > m1))):
+                out = self.create((k, a, n), mono)
+                return out if c == 1 else out.scaled(c)
+        word = ((k, a, n),) + word
+        new = PBWMonomial._interned[mono.tail].get(word)
+        if new is None:
+            new = PBWMonomial(word, mono.tail)
+        elif c == 1 and new.unit is not None:
+            return new.unit
+        return StateVector.adopt({new: c})
+
     def _act_mono(self, a: int, n0: int, n, mono: PBWMonomial) -> StateVector:
+        """a(n0, n) on a monomial.  A creation (n0 <= -1) is read by
+        :meth:`_prepend`; an annihilation is stored in the action table,
+        which every check group rereads."""
         if n0 > mono.degree:  # grading: target degree would be negative
             return ZERO_STATE
+        if n0 < 0:
+            return self._prepend(a, -n0, n, mono)
         key = (a, n0, n, mono)
         cached = self._act_cache.get(key)
         if cached is not None:
             return cached
-        if n0 <= -1:
-            result = self.create((-n0, a, n), mono)
-        elif not mono.word:
+        if not mono.word:
             result = self.base_action(a, n0, n, mono.tail)
         else:
             (k1, b, m1) = mono.word[0]

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from torva.axioms import CHECK_GROUPS
+
 from conftest import report_digest
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -216,6 +218,72 @@ def test_budget_refusal(cfg):
     out = run_cli(["--config", cfg, "--budget", "1", "axioms"])
     assert out.returncode == 3
     assert "budget" in out.stderr
+
+
+def _depth_config(tmp_path, depth):
+    """The shipped r1 config at window depth ``depth``, with no output file."""
+    shutil.copy(os.path.join(ROOT, "configs", "sl2.json"), tmp_path / "sl2.json")
+    data = json.load(open(os.path.join(ROOT, "configs", "session_sl2_r1.json")))
+    data.pop("output")
+    data["windows"] = [{**w, "depth": depth} for w in data["windows"]]
+    path = tmp_path / f"depth{depth}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["v0", "axioms"])
+def test_deep_vacuum_ideal_is_refused_by_its_chain_count(tmp_path, command):
+    # 13,123,110 chains at depth 10 on the r1 window, about 8 GB if built: the
+    # budget refuses them before any is built; the child runs under its own
+    # address-space limit, where a tree without the count would exit 3 only
+    # after a MemoryError, late and with another message
+    import resource
+    import time
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "torva.cli", "--config",
+                          _depth_config(tmp_path, 10), command], capture_output=True,
+                         text=True, cwd=ROOT, env=env, preexec_fn=limit, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("refused: estimated cost ") and "exceeds budget 6000000" in out.stderr
+    assert "(13123110 vacuum-ideal chains)" in out.stderr
+    assert elapsed < 1.0, elapsed
+
+
+def test_chain_count_is_the_ideal_the_budget_admits(tmp_path):
+    # the closed form C(M + depth, depth) counts the states build_vacuum_ideal
+    # makes; every shipped config and the benchmark's depth-4 run pass the
+    # budget with it, and a count past 2**1000 is refused without computing it
+    from torva import SessionConfig
+    from torva.cli import _chain_count, _estimate_cost, _refusal, build_parser
+
+    args = build_parser().parse_args(["--config", "unused", "v0"])
+    for depth, want in ((2, 190), (4, 7315), (6, 134596), (10, 13123110)):
+        cfg = SessionConfig.from_file(_depth_config(tmp_path, depth))
+        session = cfg.build_session()
+        win, = cfg.build_windows(session)
+        assert _chain_count(session.spec.dim, win) == want
+        if depth <= 4:
+            assert len(session.build_vacuum_ideal(depth, win).spanning) == want
+            assert _refusal(cfg, args, session.spec.dim, [win], ("ideal",)) is None
+    for name in ("session_sl2_r1.json", "session_sl2_r2.json"):
+        cfg = SessionConfig.from_file(os.path.join(ROOT, "configs", name))
+        session = cfg.build_session()
+        windows = cfg.build_windows(session)
+        for groups in (("ideal",), cfg.checks or CHECK_GROUPS):
+            assert _refusal(cfg, args, session.spec.dim, windows, groups) is None
+    cfg = SessionConfig.from_file(_depth_config(tmp_path, 2000))
+    cfg.windows[0]["m0"] = [-2000, 2]
+    session = cfg.build_session()
+    windows = cfg.build_windows(session)
+    assert _estimate_cost(session.spec.dim, windows, ("ideal",)) == (None, None)
+    assert _refusal(cfg, args, session.spec.dim, windows, ("ideal",)) == (
+        "refused: the vacuum ideal has more than 2**1000 chains")
 
 
 def test_negative_budget_flag_exit_2(cfg):

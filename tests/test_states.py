@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torva import Session, SessionConfig, echelonize, state_from_json, state_to_json
-from torva.axioms import run_suite, sample_toroidal
+from torva.axioms import run_suite, sample_state, sample_toroidal
 from torva.states import (Memo, PBWMonomial, ShiftedModule, StateVector, VACUUM_MONO, ZERO_STATE,
-                          _accumulate)
+                          _accumulate, _mode_key)
 
 from conftest import CONFIG_DIR, forget_memos, sl2_spec
 
@@ -309,13 +309,14 @@ def test_create_matches_act_index_on_creation_modes():
 
 
 def test_create_returns_a_fresh_state_not_the_stored_unit():
-    # the action table stores 1·mono as the monomial's one unit state; create
-    # stores nothing, so a chain state it builds is freed with its holder
+    # a table stores 1·mono as the monomial's one unit state, which the
+    # creation read returns; create stores nothing, so a chain state it
+    # builds is freed with its holder
     s = Session(sl2_spec(), 1, 1)
     e = s.spec.index_of("e")
-    stored = s.module.act_index(e, -1, (0,), s.module.vacuum())
-    (mono, c), = stored.terms.items()
-    assert c == 1 and stored is mono.unit
+    mono = PBWMonomial(((1, e, (0,)),), None)
+    stored = Memo().store("key", StateVector.of(mono))
+    assert stored is mono.unit
     assert s.module.act_index(e, -1, (0,), s.module.vacuum()) is stored
     fresh = s.module.create((1, e, (0,)), VACUUM_MONO)
     assert fresh == stored and fresh is not mono.unit and mono.unit is stored
@@ -363,6 +364,44 @@ def test_memo_tables_store_one_zero_and_one_unit_state_per_monomial(monkeypatch)
     rows = some + [u + v for u, v in zip(some, some[1:])]
     assert len(echelonize(rows)) == len(some)
     assert all(u.terms == {mono: 1} for mono, u in units.items())
+
+
+def test_action_table_holds_annihilations_only():
+    # the six groups of the suite-r2 benchmark, on the r1 config: the action
+    # table stores annihilation results only; a creation is read, a canonical
+    # prepend from the intern table (leaving every table and ``unit`` as they
+    # were) and a rewrite through create and the word table
+    cfg = SessionConfig.from_file(os.path.join(CONFIG_DIR, "session_sl2_r1.json"))
+    session = cfg.build_session()
+    win, = cfg.build_windows(session)
+    mod = session.module
+    for group in ["table", "locality", "derivative", "transfer", "skew", "module-variant"]:
+        assert run_suite(session, win, seed=cfg.seed, checks=[group], samples=cfg.samples).ok
+    assert len(mod._act_cache) and all(n0 >= 0 for (_, n0, _, _) in mod._act_cache._data)
+    tables = [mod._act_cache, mod._word_cache, session.fields._mode_cache,
+              session.fields._comm_cache, session._vm_cache, session._vm_state_cache]
+    rng = random.Random(26)
+    states = list(win.states) + [sample_state(session, rng, win) for _ in range(20)]
+    letters = [(n0, a, n) for n0 in win.m0_values() if n0 <= -1
+               for a in range(session.spec.dim) for n in win.m_values()]
+    kinds = {True: 0, False: 0}
+    for state in states:
+        for mono, c in state.terms.items():
+            for n0, a, n in letters:
+                letter = (-n0, a, n)
+                canonical = not mono.word or _mode_key(letter) <= _mode_key(mono.word[0])
+                kinds[canonical] += 1
+                sizes = [len(t) for t in tables]
+                known = PBWMonomial._interned[mono.tail].get((letter,) + mono.word)
+                unit = known and known.unit
+                got = mod.act_index(a, n0, n, StateVector.of(mono, c))
+                if canonical:
+                    assert [len(t) for t in tables] == sizes
+                    new = PBWMonomial((letter,) + mono.word, mono.tail)
+                    assert got.terms == {new: c} and new.unit is unit
+                    assert unit is None or c != 1 or got is unit
+                assert got == mod.create(letter, mono).scaled(c)
+    assert kinds[True] and kinds[False]
 
 
 def test_state_json_same_for_int_and_fraction_coefficients(s):
