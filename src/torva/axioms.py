@@ -877,7 +877,9 @@ def run_suite(session: Session, window: ModeWindow, seed: int = 0,
     in :data:`GROUPS` order, and aggregate their findings; the vacuum ideal is
     built to ``window.depth``.  Each group draws from its own stream, seeded by
     ``seed`` and the group's name, so its findings do not depend on which other
-    groups run or in what order."""
+    groups run or in what order, or in which process: the memo tables a group
+    fills never change a result.  That independence is what lets ``torva
+    axioms`` run one group per forked worker with the serial run's report."""
     selected = set(GROUPS if checks is None else checks)
     unknown = selected - set(GROUPS)
     if unknown:

@@ -13,6 +13,17 @@ A command runs with the cyclic garbage collector paused, and :func:`main`
 restores the state it found: the engine makes no reference cycles (a tier-1
 test checks every check group), so the collector would only rescan the memo
 tables and free nothing; reference counting frees everything.
+
+``axioms`` runs the (window, group) jobs that ``--cache`` does not hold on
+forked workers, one per CPU in the process's affinity mask and at most one per
+job, so ``taskset -c 0`` gives a serial run; with one CPU or one job, or on a
+platform without ``os.fork`` and ``os.sched_getaffinity``, the jobs run in
+this process.  ``v0``, ``--mutate`` and every other command stay in-process.
+Each check group draws from its own random stream and no memo table changes a
+result (:func:`torva.axioms.run_suite`), so the report is the serial run's
+byte for byte, apart from ``wall_ms``, and a failing job exits as it would
+serially.  Each worker fills its own memo tables: the footprint is about
+(workers + 1) processes, and the budget's memory weight is per process.
 """
 
 from __future__ import annotations
@@ -232,6 +243,152 @@ def cmd_locality(cfg: SessionConfig, args) -> int:
     return EXIT_PASS
 
 
+class _WorkerLost(Exception):
+    """A worker ended, by a signal or the OOM killer, with a job unfinished."""
+
+
+_QUEUED = 1024  # job indices of 4 bytes in the pipe at most: 4 KiB, so a write never blocks
+
+
+def _forked_map(fn, items: list) -> list:
+    """``[fn(x) for x in items]`` with ``fn`` returning JSON, on forked
+    workers: one per CPU in the affinity mask, at most one per item.  With one
+    of either, without ``os.fork``/``os.sched_getaffinity``, or while another
+    thread runs (a forked child could inherit a lock that thread holds), the
+    loop runs in-process; so it does when the first fork fails, and when a
+    later one fails the workers forked before it take every job.
+
+    Each worker takes the next index, in order, from one shared pipe and
+    sends back JSON lines on its own pipe, which the parent drains as they
+    arrive: ``{"job": i}`` when it starts a job, then the job's result or its
+    pickled exception.  The parent takes the outcomes in item order and
+    re-raises the first exception, so a failure reads as in the serial loop;
+    a worker that ends inside a job raises :class:`_WorkerLost`.  Every worker
+    is killed, if still running, and reaped before this returns or raises."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    threading = sys.modules.get("threading")
+    count = (min(len(affinity(0)), len(items)) if affinity and hasattr(os, "fork")
+             and not (threading and threading.active_count() > 1) else 1)
+    if count < 2:
+        return [fn(x) for x in items]
+    import pickle
+    import select
+    import signal
+    sys.stdout.flush()
+    sys.stderr.flush()
+    parent = os.getpid()
+    jobs_r, jobs_w = os.pipe()
+    queued = min(len(items), _QUEUED)
+    os.write(jobs_w, b"".join(i.to_bytes(4, "big") for i in range(queued)))
+    workers = {}   # read end of a worker's pipe -> [pid, unread bytes, job it runs]
+    outcomes = {}  # job -> ("result" | "error" | "lost", value)
+    try:
+        if queued == len(items):
+            os.close(jobs_w)
+            jobs_w = None
+        for _ in range(count):
+            out_r, out_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the workers forked so far take every job
+                os.close(out_r)
+                os.close(out_w)
+                if not workers:
+                    return [fn(x) for x in items]
+                break
+            if pid == 0:
+                inherited = [out_r, *workers, *([jobs_w] if jobs_w is not None else [])]
+                _work(fn, items, jobs_r, out_w, parent, inherited)
+            os.close(out_w)
+            workers[out_r] = [pid, b"", None]
+        poll = select.poll()
+        for fd in workers:
+            poll.register(fd, select.POLLIN)
+        results, lost = [], "exit status 0"
+        while len(results) < len(items):
+            kind, value = outcomes.pop(len(results), (None, None))
+            if kind == "result":
+                results.append(value)
+                continue
+            if kind == "error":
+                raise pickle.loads(bytes.fromhex(value))
+            if kind == "lost" or not workers:
+                raise _WorkerLost(f"a check worker ended without a result ({value or lost})")
+            for fd, _ in poll.poll():
+                worker = workers[fd]
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    poll.unregister(fd)
+                    del workers[fd]
+                    os.close(fd)
+                    code = os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1])
+                    if code:
+                        lost = (next((s.name for s in signal.Signals if s == -code),
+                                     f"signal {-code}") if code < 0 else f"exit status {code}")
+                    if worker[2] is not None:
+                        outcomes[worker[2]] = ("lost", lost)
+                    continue
+                *lines, worker[1] = (worker[1] + chunk).split(b"\n")
+                for line in lines:
+                    message = json.loads(line)
+                    job = message.pop("job")
+                    if message:
+                        outcomes[job], worker[2] = message.popitem(), None
+                        continue
+                    worker[2] = job
+                    if jobs_w is not None:  # one index left the pipe: queue the next
+                        os.write(jobs_w, queued.to_bytes(4, "big"))
+                        queued += 1
+                        if queued == len(items):
+                            os.close(jobs_w)
+                            jobs_w = None
+        return results
+    finally:
+        for fd in (jobs_r, jobs_w):
+            if fd is not None:
+                os.close(fd)
+        for fd, (pid, _, _) in workers.items():
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
+
+
+def _work(fn, items, jobs_r, out_w, parent, inherited):
+    """A worker: close the ``inherited`` descriptors it does not use, run
+    jobs from the shared pipe until it is empty, a job fails, or the parent
+    is gone; then ``os._exit``, so no worker returns into :func:`main`,
+    prints, or writes a report or a cache."""
+    def send(message):
+        data = (json.dumps(message, separators=(",", ":")) + "\n").encode()
+        while data:
+            data = data[os.write(out_w, data):]
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while os.getppid() == parent:
+            record = os.read(jobs_r, 4)
+            if not record:
+                break
+            job = int.from_bytes(record, "big")
+            send({"job": job})
+            try:
+                send({"job": job, "result": fn(items[job])})
+            except BaseException as exc:
+                import pickle
+                import traceback
+                if hasattr(exc, "add_note"):  # shown where the parent prints a traceback
+                    exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+                try:
+                    blob = pickle.dumps(exc)
+                    pickle.loads(blob)
+                except Exception:  # an exception that does not round-trip goes as its text
+                    blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                send({"job": job, "error": blob.hex()})
+                break
+    finally:
+        os._exit(0)
+
+
 def cmd_axioms(cfg: SessionConfig, args) -> int:
     out = _out_path(cfg, args)
     session = cfg.build_session()
@@ -247,17 +404,22 @@ def cmd_axioms(cfg: SessionConfig, args) -> int:
         _write_report(report, out)
         return _verdict(report)
     cache = _load_cache(args.cache)
-    findings = []
-    for wi, win in enumerate(windows):
-        for group in groups:
-            key = _group_cache_key(cfg, session.spec, wi, group)
-            if key in cache:
-                findings.extend(_findings_from_json(cache[key]))
-                continue
-            part = run_suite(session, win, seed=cfg.seed, checks=[group], samples=cfg.samples)
-            cache[key] = [f.to_json() for f in part.findings]
-            findings.extend(part.findings)
+    jobs = [(_group_cache_key(cfg, session.spec, wi, group), win, group)
+            for wi, win in enumerate(windows) for group in groups]
+    todo = [job for job in jobs if job[0] not in cache]
+
+    def run(job):
+        part = run_suite(session, job[1], seed=cfg.seed, checks=[job[2]], samples=cfg.samples)
+        return [f.to_json() for f in part.findings]
+
+    try:
+        for job, items in zip(todo, _forked_map(run, todo)):
+            cache[job[0]] = items
+    except _WorkerLost as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     _save_cache(args.cache, cache)
+    findings = [f for key, _, _ in jobs for f in _findings_from_json(cache[key])]
     report = SuiteReport(findings, config_digest=_digest(cfg.digest_payload()))
     _write_report(report, out)
     return _verdict(report)

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -529,3 +530,166 @@ def test_unwritable_out_fails_before_the_run(cfg, tmp_path, monkeypatch, capsys,
     assert cli.main(["--config", cfg, command, "--out", str(tmp_path / out)]) == 2
     assert "report path" in capsys.readouterr().err
     assert not (tmp_path / "missing").exists()
+
+
+# Runs ``cli.main`` in a child process that sees ``cpus`` CPUs in its affinity
+# mask, with the check groups of one fault set replaced; exits with main's
+# code, or 99 when a process it forked outlives main.
+DRIVER = """
+import os, signal, sys, time, traceback
+from torva import axioms, cli
+from torva.fields import LocalityError
+
+cpus, fault, argv = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
+os.sched_getaffinity = lambda pid: set(range(cpus))
+
+
+def raising(exc, delay=0.0):
+    def group(*args):
+        time.sleep(delay)
+        raise exc
+    return group
+
+
+def recurse(*args):
+    return recurse(*args)
+
+
+FAULTS = {
+    "none": {},
+    "locality": {"oracle": raising(LocalityError("no locality order for (e, f) within 8"))},
+    "recursion": {"oracle": recurse},
+    "sigkill": {"oracle": lambda *args: os.kill(os.getpid(), signal.SIGKILL)},
+    "bug": {"oracle": raising(ValueError("not a torva error"))},
+    # the earlier job fails last: its error is the one a serial run meets
+    "two": {"table": raising(LocalityError("the earlier job"), delay=0.5),
+            "locality": raising(KeyError("the later job"))},
+}
+axioms.GROUPS.update(FAULTS[fault])
+try:
+    code = cli.main(argv)
+except ValueError:
+    traceback.print_exc()
+    code = 1
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(99)
+"""
+
+
+def run_driver(cpus, fault, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", DRIVER, str(cpus), fault, *args],
+                          capture_output=True, text=True, cwd=ROOT, env=env)
+
+
+def _without_wall_ms(obj):
+    if isinstance(obj, dict):
+        return {k: _without_wall_ms(v) for k, v in obj.items() if k != "wall_ms"}
+    if isinstance(obj, list):
+        return [_without_wall_ms(v) for v in obj]
+    return obj
+
+
+def test_workers_leave_reports_and_stdout_as_the_serial_run(tmp_path):
+    config = os.path.join(ROOT, "configs", "session_sl2_r1.json")
+    full = tmp_path / "full-cache.json"
+    runs, caches = [], []
+    for cpus, cache in ((1, full), (2, None), (1, "half-1"), (2, "half-2")):
+        if isinstance(cache, str):
+            # every other group of the full run, so workers run the rest
+            entries = json.load(open(full))
+            cache = tmp_path / f"{cache}.json"
+            cache.write_text(json.dumps({k: entries[k] for k in sorted(entries)[::2]}))
+        out = tmp_path / f"report-{len(runs)}.json"
+        args = ["--config", config, "axioms", "--out", str(out)]
+        done = run_driver(cpus, "none", ["--cache", str(cache), *args] if cache else args)
+        assert done.returncode == 0, done.stderr
+        runs.append((_without_wall_ms(json.load(open(out))),
+                     re.sub(r"\(\d+ ms\)", "", done.stdout)))
+        if cache:
+            caches.append(_without_wall_ms(json.load(open(cache))))
+    assert all(run == runs[0] for run in runs)
+    assert "overall: pass" in runs[0][1]
+    assert all(c == caches[0] for c in caches) and len(caches[0]) == len(CHECK_GROUPS)
+
+
+@pytest.mark.parametrize("fault, code, line", [
+    ("locality", 1, "mathematical failure: no locality order for (e, f) within 8"),
+    ("recursion", 3, "refused: out of resources (RecursionError: maximum recursion depth exceeded)"),
+    ("two", 1, "mathematical failure: the earlier job")])
+def test_a_failing_job_exits_as_in_the_serial_run(cfg, tmp_path, fault, code, line):
+    cache = tmp_path / "cache.json"
+    out = tmp_path / "report.json"
+    args = ["--config", cfg, "--cache", str(cache), "axioms", "--out", str(out)]
+    serial, forked = run_driver(1, fault, args), run_driver(2, fault, args)
+    for done in (serial, forked):
+        assert done.returncode == code, done.stderr
+        assert done.stderr == line + "\n"
+        assert done.stdout == ""
+    assert not cache.exists() and not out.exists()
+
+
+def test_a_worker_killed_by_a_signal_exits_3(cfg, tmp_path):
+    cache = tmp_path / "cache.json"
+    done = run_driver(2, "sigkill", ["--config", cfg, "--cache", str(cache), "axioms"])
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "refused: a check worker ended without a result (SIGKILL)\n"
+    assert done.stdout == ""
+    assert not cache.exists()
+
+
+def test_jobs_run_in_process_while_another_thread_runs(monkeypatch):
+    # a forked child holds only the forking thread, and could inherit a lock
+    # that another thread holds
+    import threading
+
+    from torva import cli
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    where = lambda item: [os.getpid(), item]  # noqa: E731
+    assert {pid for pid, _ in cli._forked_map(where, [1, 2])} != {os.getpid()}
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert cli._forked_map(where, [1, 2]) == [[os.getpid(), 1], [os.getpid(), 2]]
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forks", [0, 1])
+def test_a_failed_fork_leaves_the_jobs_to_the_workers_forked_before_it(monkeypatch, forks):
+    from torva import cli
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    real_fork, forked = os.fork, []
+
+    def fork():
+        if len(forked) == forks:
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+        forked.append(real_fork())
+        return forked[-1]
+
+    monkeypatch.setattr(os, "fork", fork)
+    where = lambda item: [os.getpid(), item]  # noqa: E731
+    results = cli._forked_map(where, [1, 2, 3])
+    assert [item for _, item in results] == [1, 2, 3]
+    assert {pid for pid, _ in results} == set(forked or [os.getpid()])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes are new in 3.11")
+def test_an_uncaught_error_in_a_worker_shows_the_workers_traceback(cfg):
+    # a program error is not caught by main: its traceback names the frame
+    # in the worker that raised it, as a serial run's does
+    done = run_driver(2, "bug", ["--config", cfg, "axioms"])
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.count("ValueError: not a torva error") == 2, done.stderr
+    assert ', in group\n' in done.stderr

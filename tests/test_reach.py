@@ -2,7 +2,9 @@
 
 Each command runs once through ``cli.main`` on a small generated config with
 ``sys.setprofile`` on, and every ``def`` in ``src/torva/*.py`` (found with
-``ast``) must have been entered.  A function that only tests reach is dead
+``ast``) must have been entered.  The affinity mask is pinned to one CPU, so
+``axioms`` runs its check groups in this process, where the profiler sees
+them, and not on forked workers.  A function that only tests reach is dead
 code to the program: delete it, or name it in ``ALLOWED`` with its reason.
 """
 
@@ -28,6 +30,10 @@ ALLOWED = {
     "liecore:ToroidalElement.__hash__": "elements are compared, never used as keys",
     "states:Memo.__len__": "read by the benchmark tracer",
     "vertexops:_subtract": "the ideal spans by distinct unit monomials, so echelonize never subtracts",
+    "cli:_work": "runs only inside a forked worker; covered by "
+                 "tests/test_cli.py::test_workers_leave_reports_and_stdout_as_the_serial_run",
+    "cli:_work.send": "runs only inside a forked worker; covered by "
+                      "tests/test_cli.py::test_workers_leave_reports_and_stdout_as_the_serial_run",
 }
 
 
@@ -66,7 +72,8 @@ def write_config(tmp_path):
     return str(path)
 
 
-def test_every_engine_function_is_reached_by_a_command(tmp_path, capsys):
+def test_every_engine_function_is_reached_by_a_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     cfg = write_config(tmp_path)
     report, cache = str(tmp_path / "report.json"), str(tmp_path / "cache.json")
     commands = [
