@@ -614,7 +614,11 @@ def _derivative_findings(session: Session, window: ModeWindow) -> list:
     (Di a)_(m0,m) b = -m_i a_(m0,m) b.  A left side's mode is read once; a
     reference product's modes are read again only within their generator
     pair, so they are held in a table local to the pair, as
-    :meth:`AxiomChecker._composite_modes` holds a skew pair's."""
+    :meth:`AxiomChecker._composite_modes` holds a skew pair's.  The locality
+    orders of a and of its r + 1 derivatives against b are settled first on
+    one commutator table, which the derivative scans read a's entries from
+    and which is emptied when the last order is settled
+    (:meth:`FieldSpace.locality_orders`)."""
     fs = session.fields
     states = window.states
 
@@ -624,8 +628,9 @@ def _derivative_findings(session: Session, window: ModeWindow) -> list:
             ref = functools.cache(lambda c0, C: fs.product(ha, c0, C, hb, window=window))
             ref_mode = functools.cache(
                 lambda c0, C, k0, k, si: fs.mode(ref(c0, C), k0, k, states[si]))
-            for i in range(session.r + 1):
-                da = fs.derivative(i, ha)
+            derivatives = [fs.derivative(i, ha) for i in range(session.r + 1)]
+            fs.locality_orders([ha, *derivatives], hb, window)
+            for i, da in enumerate(derivatives):
                 for (m0, m) in window.modes():
                     lhs = fs.product(da, m0, m, hb, window=window)
                     c0, scale = (m0 - 1, -m0) if i == 0 else (m0, -m[i - 1])

@@ -353,18 +353,32 @@ def _forked_map(fn, items: list) -> list:
             os.waitpid(pid, 0)
 
 
+_ORPHAN_POLL_S = 0.1  # a worker looks this often for its parent, inside a job too
+
+
 def _work(fn, items, jobs_r, out_w, parent, inherited):
     """A worker: close the ``inherited`` descriptors it does not use, run
     jobs from the shared pipe until it is empty, a job fails, or the parent
     is gone; then ``os._exit``, so no worker returns into :func:`main`,
-    prints, or writes a report or a cache."""
+    prints, or writes a report or a cache.  A timer signal looks for the
+    parent every :data:`_ORPHAN_POLL_S` seconds, so a worker whose parent was
+    killed exits within one period even inside a job; the pipe reads and
+    writes it interrupts are retried (PEP 475)."""
+    import signal
+
     def send(message):
         data = (json.dumps(message, separators=(",", ":")) + "\n").encode()
         while data:
             data = data[os.write(out_w, data):]
+
+    def orphaned(signum, frame):
+        if os.getppid() != parent:
+            os._exit(0)
     try:
         for fd in inherited:
             os.close(fd)
+        signal.signal(signal.SIGALRM, orphaned)
+        signal.setitimer(signal.ITIMER_REAL, _ORPHAN_POLL_S, _ORPHAN_POLL_S)
         while os.getppid() == parent:
             record = os.read(jobs_r, 4)
             if not record:

@@ -122,10 +122,13 @@ class FieldHandle:
     or past ``w.max_degree() - t0_offset``.  A product's ``_eval`` stores
     its modes; its ``_compute`` gives the same mode unstored, for a check's
     one-time read (:meth:`FieldSpace.mode`).  Other handles store nothing
-    themselves and have no ``_compute``.
+    themselves and have no ``_compute``.  A derivative's ``base`` is
+    ``(root, indices)``: the first handle under its nested derivatives that
+    is not one, and the derivative indices from the outside in
+    (:func:`_derivative_scale`); it is None on every other handle.
     """
 
-    __slots__ = ("key", "t0_offset", "_eval", "_compute", "label")
+    __slots__ = ("key", "t0_offset", "_eval", "_compute", "label", "base")
 
     def __init__(self, key, t0_offset: int, evaluate: Callable, label: str):
         self.key = key
@@ -133,9 +136,24 @@ class FieldHandle:
         self._eval = evaluate
         self._compute = None
         self.label = label
+        self.base = None
 
     def __repr__(self):
         return f"Field({self.label})"
+
+
+def _derivative_scale(indices, n0: int, n) -> tuple:
+    """(n0', c) with (D_{i1} ... D_{ij} a)(n0, n) = c a(n0', n), for the
+    indices i1..ij from the outside in: each D0 scales by -n0 and shifts n0
+    down by one, each Di scales by -n_i."""
+    c = 1
+    for i in indices:
+        if i:
+            c *= -n[i - 1]
+        else:
+            c *= -n0
+            n0 -= 1
+    return n0, c
 
 
 class FieldSpace:
@@ -148,7 +166,10 @@ class FieldSpace:
     stores nothing, and leaves recompute cheaply); ``_comm_cache`` the
     commutators of the one pair whose locality order is being settled
     (currents, or vertex operators of states in the Jacobi checks), also
-    emptied as soon as that order is settled.  A commutator's inner
+    emptied as soon as that order is settled; :meth:`locality_orders`
+    settles a handle and its derivatives against one b on one table, as a
+    derivative's commutators are its root's entries, scaled and shifted, and
+    empties it once after the last.  A commutator's inner
     applications are read from the tables of the handles themselves: for a
     current, the module's action table (annihilation modes) or its intern
     and word tables (creation modes); the session's vertex-mode tables for a
@@ -204,7 +225,10 @@ class FieldSpace:
     def derivative(self, i: int, a: FieldHandle) -> FieldHandle:
         """D0 = d/dx0 for i = 0, Di = x_i d/dx_i for 1 <= i <= r, at the mode
         level: (D0 a)(n0, n) = -n0 a(n0-1, n), (Di a)(n0, n) = -n_i a(n0, n);
-        both keep a's witness, as a zero scales to itself."""
+        both keep a's witness, as a zero scales to itself.  The handle's
+        ``base`` names a's root through nested derivatives, so that its
+        commutators are read from the root's entries (:meth:`commutator`,
+        :meth:`locality_passes_at`); its own modes come from a's evaluator."""
         if not 0 <= i <= self.r:
             raise SpecFormatError(f"derivative index {i} out of range 0..{self.r}")
         inner = a._eval
@@ -220,7 +244,10 @@ class FieldSpace:
                     return ZERO_STATE
                 return inner(n0, n, w).scaled(-n[i - 1])
             off = a.t0_offset
-        return FieldHandle(("D", i, a.key), off, ev, f"D{i}({a.label})")
+        handle = FieldHandle(("D", i, a.key), off, ev, f"D{i}({a.label})")
+        root, indices = a.base or (a, ())
+        handle.base = (root, (i,) + indices)
+        return handle
 
     def product(self, a: FieldHandle, m0: int, m, b: FieldHandle,
                 window: ModeWindow) -> FieldHandle:
@@ -284,8 +311,18 @@ class FieldSpace:
     # -- locality -----------------------------------------------------------------
 
     def commutator(self, a, b, p0, p, q0, q, w) -> StateVector:
-        """[a(p0, p), b(q0, q)] w, with p and q multidegrees checked here."""
+        """[a(p0, p), b(q0, q)] w, with p and q multidegrees checked here.  A
+        derivative's is its root's commutator, scaled and shifted."""
         p, q = _multidegree(p, self.r), _multidegree(q, self.r)
+        if a.base is None:
+            return self._commutator(a, b, p0, p, q0, q, w)
+        root, indices = a.base
+        p0, c = _derivative_scale(indices, p0, p)
+        return self._commutator(root, b, p0, p, q0, q, w).scaled(c) if c else ZERO_STATE
+
+    def _commutator(self, a, b, p0, p, q0, q, w) -> StateVector:
+        """[a(p0, p), b(q0, q)] w for a handle that is not a derivative, read
+        from or stored in ``_comm_cache``."""
         key = (a.key, b.key, p0, p, q0, q, w)
         out = self._comm_cache.get(key)
         if out is None:
@@ -297,39 +334,57 @@ class FieldSpace:
         """Check (x0-y0)^k [a(x0,x), b(y0,y)] = 0 coefficientwise on the
         window; returns None or the first offending tuple
         (p0, p, q0, q, state index, residual).  Every term of a tuple has
-        t0-index total p0 + q0 + k, so a tuple past the witness is skipped."""
+        t0-index total p0 + q0 + k, so a tuple past the witness is skipped.
+        A derivative's terms are its root's commutators, with the scale and
+        the shift folded into the binomial coefficient."""
         tops = [w.max_degree() - a.t0_offset - b.t0_offset - k for w in window.states]
+        root, indices = a.base or (a, ())
+        signed = [binom(k, i) * (-1 if i % 2 else 1) for i in range(k + 1)]
         for (p0, p), (q0, q) in itertools.product(window.modes(), repeat=2):
             for si, w in enumerate(window.states):
                 if p0 + q0 > tops[si]:
                     continue
                 acc = {}
-                for i in range(k + 1):
-                    c = binom(k, i) * (-1 if i % 2 else 1)
-                    _accumulate(acc, self.commutator(a, b, p0 + k - i, p, q0 + i, q, w), c)
+                for i, c in enumerate(signed):
+                    r0 = p0 + k - i
+                    if indices:
+                        r0, s = _derivative_scale(indices, r0, p)
+                        if not s:
+                            continue
+                        c *= s
+                    _accumulate(acc, self._commutator(root, b, r0, p, q0 + i, q, w), c)
                 if acc:
                     return (p0, p, q0, q, si, StateVector.adopt(acc))
         return None
+
+    def locality_orders(self, firsts: Sequence[FieldHandle], b: FieldHandle,
+                        window: ModeWindow, bound: Optional[int] = None) -> list:
+        """:meth:`locality_order` of each first slot against b, with one
+        commutator table for them all: first slots that share one root (a
+        handle and its derivatives) read each other's commutators, and the
+        table is emptied once every order is settled."""
+        bound = window.locality_bound if bound is None else bound
+        if bound < 0:
+            raise SpecFormatError("locality bound must be >= 0")
+        orders, scanned = [], False
+        for a in firsts:
+            ckey = (a.key, b.key, window.m0_lo, window.m0_hi,
+                    window.m_box, window.states, bound)
+            if ckey not in self._locality_cache:
+                scanned = True
+                self._locality_cache[ckey] = next(
+                    (k for k in range(bound + 1)
+                     if self.locality_passes_at(a, b, k, window) is None), None)
+            orders.append(self._locality_cache[ckey])
+        if scanned:
+            self._comm_cache.empty()  # every order is settled; no entry is read again
+        return orders
 
     def locality_order(self, a: FieldHandle, b: FieldHandle, window: ModeWindow,
                        bound: Optional[int] = None) -> Optional[int]:
         """Least k <= bound annihilating the commutator on the window, or
         None when the bound is exceeded."""
-        bound = window.locality_bound if bound is None else bound
-        if bound < 0:
-            raise SpecFormatError("locality bound must be >= 0")
-        ckey = (a.key, b.key, window.m0_lo, window.m0_hi,
-                window.m_box, window.states, bound)
-        if ckey in self._locality_cache:
-            return self._locality_cache[ckey]
-        result = None
-        for k in range(bound + 1):
-            if self.locality_passes_at(a, b, k, window) is None:
-                result = k
-                break
-        self._comm_cache.empty()  # the order is settled; no entry is read again
-        self._locality_cache[ckey] = result
-        return result
+        return self.locality_orders((a,), b, window, bound)[0]
 
     # -- independent brute-force oracle ---------------------------------------------
 

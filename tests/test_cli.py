@@ -555,6 +555,15 @@ def recurse(*args):
     return recurse(*args)
 
 
+def announced(group):
+    real = axioms.GROUPS[group]
+
+    def run(*args):
+        print(f"{group} started", file=sys.stderr, flush=True)
+        return real(*args)
+    return run
+
+
 FAULTS = {
     "none": {},
     "locality": {"oracle": raising(LocalityError("no locality order for (e, f) within 8"))},
@@ -564,6 +573,7 @@ FAULTS = {
     # the earlier job fails last: its error is the one a serial run meets
     "two": {"table": raising(LocalityError("the earlier job"), delay=0.5),
             "locality": raising(KeyError("the later job"))},
+    "announce-derivative": {"derivative": announced("derivative")},
 }
 axioms.GROUPS.update(FAULTS[fault])
 try:
@@ -579,11 +589,26 @@ sys.exit(99)
 """
 
 
-def run_driver(cpus, fault, args):
+def driver_command(cpus, fault, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-c", DRIVER, str(cpus), fault, *args],
-                          capture_output=True, text=True, cwd=ROOT, env=env)
+    return [sys.executable, "-c", DRIVER, str(cpus), fault, *args], env
+
+
+def run_driver(cpus, fault, args):
+    command, env = driver_command(cpus, fault, args)
+    return subprocess.run(command, capture_output=True, text=True, cwd=ROOT, env=env)
+
+
+def _proc_stat(pid):
+    """(state, parent pid) of a process from /proc, or ("gone", 0); the
+    command name is skipped, as it may hold spaces."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return "gone", 0
+    return fields[0], int(fields[1])
 
 
 def _without_wall_ms(obj):
@@ -693,3 +718,37 @@ def test_an_uncaught_error_in_a_worker_shows_the_workers_traceback(cfg):
     assert done.returncode == 1, done.stderr
     assert done.stderr.count("ValueError: not a torva error") == 2, done.stderr
     assert ', in group\n' in done.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads worker states from /proc")
+def test_workers_of_a_killed_parent_exit_inside_their_job(tmp_path):
+    # the parent is SIGKILLed while a worker runs the derivative group, which
+    # takes over a second on r2; every worker must be gone within 0.5 s
+    import select
+    import signal
+    import time
+    config = os.path.join(ROOT, "configs", "session_sl2_r2.json")
+    command, env = driver_command(2, "announce-derivative",
+                                  ["--config", config, "axioms", "--out", str(tmp_path / "r.json")])
+    parent = subprocess.Popen(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE)
+    workers = []
+    try:
+        ready, _, _ = select.select([parent.stderr], [], [], 60)
+        assert ready and parent.stderr.readline() == b"derivative started\n"
+        workers = [int(p) for p in os.listdir("/proc")
+                   if p.isdigit() and _proc_stat(p)[1] == parent.pid]
+        assert len(workers) == 2
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=10)
+        time.sleep(0.5)
+        # an exited worker is gone, or a zombie until its new parent reaps it
+        assert [p for p in workers if _proc_stat(p)[0] not in ("gone", "Z")] == []
+    finally:
+        for pid in [parent.pid] * (parent.poll() is None) + workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        parent.wait()
+        parent.stderr.close()

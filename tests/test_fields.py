@@ -1,5 +1,6 @@
 """Field engine: locality, products, derivatives, the residue oracle."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -68,6 +69,57 @@ def test_commutator_table_holds_one_pair():
     misses = table.misses
     assert fs.locality_order(cur["e"], cur["f"], w1) == 2
     assert table.misses == misses
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["vacuum", "shifted"])
+def test_derivative_commutators_are_read_from_their_root(shifted):
+    # [(D a)(p0,p), b(q0,q)] w read through a's commutator table, scaled and
+    # shifted, equals the commutator of the handles' own evaluators at every
+    # window tuple, those with p0 = 0 or some p_i = 0 (scale 0) included
+    s2 = Session(sl2_spec(), 2, 1)
+    mod = ShiftedModule(s2.module, (1, 0)) if shifted else s2.module
+    fs = FieldSpace(mod)
+    win2 = ModeWindow((-1, 2), [(-1, 1), (0, 1)], [s2.vacuum(), s2.parse_state("f(-1;0,0) vac")])
+    a = fs.current("e")
+    handles = [fs.derivative(i, a) for i in range(s2.r + 1)]
+    handles += [fs.derivative(0, handles[0]), fs.derivative(2, handles[0])]
+    assert [h.base for h in handles] == [(a, (0,)), (a, (1,)), (a, (2,)), (a, (0, 0)), (a, (2, 0))]
+    nonzero = zero_scale = 0
+    for d, b in itertools.product(handles, [fs.current(x) for x in s2.spec.basis]):
+        for (p0, p), (q0, q) in itertools.product(win2.modes(), repeat=2):
+            for w in win2.states:
+                brute = d._eval(p0, p, b._eval(q0, q, w)) - b._eval(q0, q, d._eval(p0, p, w))
+                assert fs.commutator(d, b, p0, p, q0, q, w) == brute, (d.label, b.label, p0, p)
+                nonzero += bool(brute)
+                zero_scale += p0 == 0 or 0 in p
+    assert nonzero and zero_scale
+    assert len(fs._comm_cache) == fs._comm_cache.misses > 0
+    assert all(key[0] == a.key for key in fs._comm_cache._data)  # only the root's entries
+
+
+def test_derivative_check_shares_one_table_per_pair_and_empties_it(monkeypatch):
+    # a pair's derivative scans read the commutators its own scan stored, and
+    # the table is empty once the check leaves the pair
+    s1 = Session(sl2_spec(), 1, 1)
+    fs, table = s1.fields, s1.fields._comm_cache
+    at_scan, at_pair = [], []
+    scan, derivative = fs.locality_passes_at, fs.derivative
+
+    def counted_scan(a, b, k, window):
+        at_scan.append((a.base is not None, len(table)))
+        return scan(a, b, k, window)
+
+    def counted_derivative(i, a):
+        if i == 0:
+            at_pair.append(len(table))
+        return derivative(i, a)
+
+    monkeypatch.setattr(fs, "locality_passes_at", counted_scan)
+    monkeypatch.setattr(fs, "derivative", counted_derivative)
+    assert run_suite(s1, small_window(s1), checks=["derivative"]).ok
+    assert at_pair == [0] * 9 and len(table) == 0
+    assert all(n > 0 for is_derivative, n in at_scan if is_derivative)
+    assert sum(is_derivative for is_derivative, _ in at_scan) > 9
 
 
 def test_mode_table_holds_product_modes_only():
@@ -412,8 +464,8 @@ def test_memo_counters_are_pinned_after_locality_and_derivative():
     want = {
         "locality": {"act": (6208, 1578), "word": (907, 253), "mode": (0, 0),
                      "comm": (1930, 4263), "vm": (0, 0), "vm_state": (0, 0)},
-        "derivative": {"act": (60183, 2928), "word": (4445, 506), "mode": (0, 0),
-                       "comm": (7355, 13881), "vm": (0, 0), "vm_state": (0, 0)},
+        "derivative": {"act": (55857, 2928), "word": (4077, 506), "mode": (0, 0),
+                       "comm": (7739, 9327), "vm": (0, 0), "vm_state": (0, 0)},
     }
     for group, counts in want.items():
         assert run_suite(session, win, seed=cfg.seed, checks=[group],

@@ -34,6 +34,8 @@ ALLOWED = {
                  "tests/test_cli.py::test_workers_leave_reports_and_stdout_as_the_serial_run",
     "cli:_work.send": "runs only inside a forked worker; covered by "
                       "tests/test_cli.py::test_workers_leave_reports_and_stdout_as_the_serial_run",
+    "cli:_work.orphaned": "runs only inside a forked worker; covered by "
+                          "tests/test_cli.py::test_workers_of_a_killed_parent_exit_inside_their_job",
 }
 
 
